@@ -108,7 +108,6 @@ def _default_fit_dict() -> dict:
             "p_birth": 0.5,
             "bd_attempts": 1,
             "s_mu": 0.05,
-            "s_w": 0.4,
             "stride": 1,
         },
         "eval_fraction": 0.2,
@@ -161,7 +160,6 @@ class FitConfig:
             p_birth=float(sa["p_birth"]),
             bd_attempts=int(sa["bd_attempts"]),
             s_mu=float(sa["s_mu"]),
-            s_w=float(sa["s_w"]),
             stride=int(sa["stride"]),
         )
         self.basis_kw = d["basis"]
@@ -360,9 +358,13 @@ def cmd_fit(args) -> int:
         overrides.setdefault("sampler", {})["burn_in"] = args.burn_in
     if args.m_init is not None:
         lo, _, hi = args.m_init.partition(":")
-        overrides.setdefault("pretrain", {})["m_init"] = (
-            [int(lo), int(hi)] if hi else int(lo)
-        )
+        try:
+            m_init = [int(lo), int(hi)] if hi else int(lo)
+        except ValueError:
+            raise ConfigError(
+                f"--m-init must be an integer or lo:hi range, got {args.m_init!r}"
+            ) from None
+        overrides.setdefault("pretrain", {})["m_init"] = m_init
     if args.eval_fraction is not None:
         overrides["eval_fraction"] = args.eval_fraction
     cfg = FitConfig.resolve(file_cfg, overrides)

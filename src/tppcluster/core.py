@@ -81,12 +81,14 @@ class EventSequence:
         """Human-readable list of contract violations (empty when valid)."""
         out = []
         sid = self.id or "<unnamed>"
-        if not (self.horizon > 0):
-            out.append(f"{sid}: horizon must be positive, got {self.horizon}")
+        if not (0 < self.horizon < math.inf):
+            out.append(f"{sid}: horizon must be positive and finite, got {self.horizon}")
         if self.times.shape != self.types.shape:
             out.append(f"{sid}: times/types length mismatch")
             return out
         if self.n_events:
+            if not np.all(np.isfinite(self.times)):
+                out.append(f"{sid}: non-finite event timestamp")
             if np.any(np.diff(self.times) <= 0):
                 out.append(f"{sid}: timestamps not strictly increasing")
             if self.times[0] <= 0 or self.times[-1] > self.horizon:
@@ -149,8 +151,8 @@ def validate_dataset(data: Dataset) -> list[str]:
     """Collect all contract violations of a dataset.
 
     Returns an empty list when the dataset is well formed.  Checks: at least
-    one sequence, positive horizons, strictly increasing timestamps inside
-    (0, T], and event types within the declared alphabet.
+    one sequence, positive finite horizons, finite strictly increasing
+    timestamps inside (0, T], and event types within the declared alphabet.
     """
     out = []
     if data.n_types < 1:

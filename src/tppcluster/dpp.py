@@ -14,6 +14,11 @@ phi_tilde = phi / (1 - phi).  The log density of a point configuration is
 
 where D_app = sum_z log(1 + phi_tilde(z)).  Larger ``alpha`` repels over
 longer distances; ``rho`` controls the expected number of points.
+
+The Gram matrix is assembled from per-point cosine and sine features of the
+lattice frequencies; a density ratio is the difference of two full
+log-densities.  The lattice has (2L+1)^q frequencies; models with more than
+``MAX_LATTICE_SIZE`` are refused.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .core import ConfigError, Dataset, DppConfig
 
@@ -39,6 +43,11 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _PHI_CLIP = 1.0 - 1e-6
+
+# Largest admitted (2L+1)^q.  Admits q <= 7 at the default radius L=2; at
+# this size a lattice is a few MB and one density of ten points takes a few
+# tens of ms.  q=8 at L=2 (390,625 frequencies) or q=10 (9.8M) is refused.
+MAX_LATTICE_SIZE = 100_000
 
 
 @dataclass(frozen=True)
@@ -64,16 +73,23 @@ class DppSpectralModel:
     def in_box(self, point: np.ndarray) -> bool:
         return bool(np.all(point >= self.box_lo) and np.all(point <= self.box_hi))
 
+    def _features(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-point cosine and sine features ``cos/sin(2 pi x . z)``, each (len(x), n_z)."""
+        ang = 2.0 * math.pi * (x @ self.lattice.T)
+        return np.cos(ang), np.sin(ang)
+
     def kernel(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Gram block K(x_i, y_j) in unit-cube coordinates; shape (len(x), len(y)).
 
-        Assembled with cosines only: the lattice is symmetric, so the
-        imaginary parts of the complex expansion cancel exactly.
+        cos(a - b) = cos a cos b + sin a sin b, so the block is
+        ``(C_x phi_tilde) C_y^T + (S_x phi_tilde) S_y^T`` from per-point
+        features: O((len(x) + len(y)) n_z) trigonometric calls.  The lattice
+        is symmetric, so the imaginary parts of the complex expansion cancel
+        exactly.  ``kernel(x, x)`` computes the features once.
         """
-        px = x @ self.lattice.T  # (mx, n_z)
-        py = y @ self.lattice.T
-        ang = 2.0 * math.pi * (px[:, None, :] - py[None, :, :])
-        return np.einsum("mnz,z->mn", np.cos(ang), self.phi_tilde)
+        cx, sx = self._features(x)
+        cy, sy = (cx, sx) if y is x else self._features(y)
+        return (cx * self.phi_tilde) @ cy.T + (sx * self.phi_tilde) @ sy.T
 
     def describe(self) -> dict:
         return {
@@ -104,6 +120,13 @@ def build_spectral_model(q: int, lattice_radius: int, rho: float, alpha: float,
         raise ConfigError("base-rate box must satisfy 0 < lo < hi per coordinate")
     if rho <= 0 or alpha <= 0:
         raise ConfigError("rho and alpha must be positive")
+    n_z = (2 * lattice_radius + 1) ** q
+    if n_z > MAX_LATTICE_SIZE:
+        raise ConfigError(
+            f"repulsive-prior lattice too large: (2L+1)^q = {n_z:,} frequencies for "
+            f"q={q} event types at L={lattice_radius}, above the limit of "
+            f"{MAX_LATTICE_SIZE:,}; lower prior.dpp.lattice_radius"
+        )
     lattice = np.array(list(product(range(-lattice_radius, lattice_radius + 1), repeat=q)),
                        dtype=np.int64)
     sq = (lattice ** 2).sum(axis=1)
@@ -161,69 +184,23 @@ def dpp_log_density(model: DppSpectralModel, points: np.ndarray) -> float:
     return 1.0 - model.d_app + float(logdet)
 
 
-def _schur_gain(model: DppSpectralModel, base: np.ndarray, point: np.ndarray) -> float:
-    """log det K(base + point) - log det K(base), via the Schur complement."""
-    y = model.rescale(point[None, :])
-    diag = float(model.kernel(y, y)[0, 0])
-    if base.shape[0] == 0:
-        return math.log(diag) if diag > 0 else -math.inf
-    x = model.rescale(base)
-    gram = model.kernel(x, x)
-    b = model.kernel(x, y)[:, 0]
-    try:
-        cho = cho_factor(gram, lower=True)
-    except np.linalg.LinAlgError:
-        return math.nan  # caller falls back to the full recomputation
-    s = diag - float(b @ cho_solve(cho, b))
-    if not np.isfinite(s) or s <= 0:
-        return -math.inf
-    return math.log(s)
-
-
 def dpp_log_ratio(model: DppSpectralModel, points: np.ndarray,
                   add: np.ndarray | None = None,
                   remove: np.ndarray | None = None) -> float:
     """Log-density change of adding and/or removing one point.
 
     ``remove`` is matched against ``points`` by exact coordinates.  The value
-    always equals ``dpp_log_density(after) - dpp_log_density(before)``; the
-    incremental Schur path is used when well conditioned, with a full
-    recomputation fallback otherwise.
+    is ``dpp_log_density(after) - dpp_log_density(before)``, with the added
+    point appended after the remaining ones.
     """
-    points = np.asarray(points, dtype=np.float64)
-    if points.size == 0:
-        points = np.zeros((0, model.q))
-    elif points.ndim == 1:
-        points = points[None, :]
-    base = points
-    total = 0.0
-    if remove is not None:
-        remove = np.asarray(remove, dtype=np.float64)
-        match = np.flatnonzero(np.all(base == remove, axis=1))
-        if match.size == 0:
-            raise ConfigError("point to remove is not part of the configuration")
-        rest = np.delete(base, match[0], axis=0)
-        gain = _schur_gain(model, rest, remove)
-        if math.isnan(gain):
-            return _full_ratio(model, points, add, remove)
-        total -= gain
-        base = rest
-    if add is not None:
-        add = np.asarray(add, dtype=np.float64)
-        if not model.in_box(add):
-            return -math.inf
-        gain = _schur_gain(model, base, add)
-        if math.isnan(gain):
-            return _full_ratio(model, points, add, remove)
-        total += gain
-    return total
-
-
-def _full_ratio(model, points, add, remove) -> float:
+    points = np.asarray(points, dtype=np.float64).reshape(-1, model.q)
     after = points
     if remove is not None:
-        match = np.flatnonzero(np.all(after == remove, axis=1))
+        remove = np.asarray(remove, dtype=np.float64)
+        match = np.flatnonzero(np.all(points == remove, axis=1))
+        if match.size == 0:
+            raise ConfigError("point to remove is not part of the configuration")
         after = np.delete(after, match[0], axis=0)
     if add is not None:
-        after = np.vstack([after, add[None, :]]) if after.size else add[None, :]
+        after = np.vstack([after, np.asarray(add, dtype=np.float64)[None, :]])
     return dpp_log_density(model, after) - dpp_log_density(model, points)

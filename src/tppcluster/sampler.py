@@ -76,7 +76,6 @@ class SamplerConfig:
     p_birth: float = 0.5
     bd_attempts: int = 1          # birth/death proposals per sweep
     s_mu: float = 0.05            # base-rate random-walk scale, unit-cube units
-    s_w: float = 0.4              # log-scale random walk used by the reference
     stride: int = 1               # weight-seed sampler (testing aid)
     seed: int = 0
     debug_checks: bool = False    # validate state invariants every sweep
@@ -88,8 +87,8 @@ class SamplerConfig:
             raise ConfigError("p_birth must lie strictly between 0 and 1")
         if self.bd_attempts < 0:
             raise ConfigError("bd_attempts must be nonnegative")
-        if self.s_mu <= 0 or self.s_w <= 0:
-            raise ConfigError("proposal scales must be positive")
+        if self.s_mu <= 0:
+            raise ConfigError("proposal scale s_mu must be positive")
         if self.stride < 1:
             raise ConfigError("stride must be >= 1")
 
@@ -284,7 +283,7 @@ def resample_allocations(state: MixtureState, ctx: FitContext,
     state.allocated = [comps[i] for i in alloc_idx]
     state.non_allocated = [comps[i] for i in spare_idx]
     state.c = remap[choice]
-    return {"n_changed": None, "k": state.k, "l": state.l}
+    return {"k": state.k, "l": state.l}
 
 
 def resample_u(state: MixtureState, ctx: FitContext, rng: np.random.Generator) -> None:

@@ -131,6 +131,42 @@ def test_fit_rejects_unknown_config_keys(tmp_path):
     assert rc == 1
 
 
+def test_fit_rejects_removed_s_w_key(tmp_path, capsys):
+    sim = _simulate(tmp_path)
+    cfg = tmp_path / "old.json"
+    cfg.write_text(json.dumps({"sampler": {"s_w": 0.4}}))
+    rc = main(["fit", "--data", str(sim / "dataset.jsonl"), "--config", str(cfg),
+               "--out", str(tmp_path / "old")])
+    assert rc == 1
+    assert "unknown config.sampler key: 's_w'" in capsys.readouterr().err
+
+
+def test_fit_rejects_malformed_m_init(tmp_path, capsys):
+    sim = _simulate(tmp_path)
+    for bad in ("x", "2:y"):
+        rc = main(["fit", "--data", str(sim / "dataset.jsonl"), "--m-init", bad,
+                   "--out", str(tmp_path / "m")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--m-init" in err and repr(bad) in err
+
+
+def test_fit_rejects_non_finite_times(tmp_path, capsys):
+    cases = {
+        "s-nan": '"T":5.0,"events":[{"t":1.0,"d":1},{"t":NaN,"d":1}]',
+        "s-inf": '"T":Infinity,"events":[{"t":1.0,"d":1}]',
+    }
+    for sid, body in cases.items():
+        path = tmp_path / f"{sid}.jsonl"
+        path.write_text('{"id":"ok","T":5.0,"events":[{"t":0.5,"d":1}]}\n'
+                        f'{{"id":"{sid}",{body}}}\n')
+        rc = main(["fit", "--data", str(path), "--iterations", "4", "--burn-in", "2",
+                   "--out", str(tmp_path / sid)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "invalid dataset" in err and sid in err
+
+
 def test_fit_input_error_paths(tmp_path, capsys):
     sim = _simulate(tmp_path)
     broken = tmp_path / "broken.json"

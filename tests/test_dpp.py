@@ -1,4 +1,4 @@
-"""Spectral repulsive prior: densities, incremental ratios, box resolution."""
+"""Spectral repulsive prior: densities, add/remove ratios, box resolution."""
 
 import logging
 import math
@@ -9,6 +9,7 @@ import pytest
 import helpers
 from tppcluster.core import ConfigError, Dataset, DppConfig, EventSequence
 from tppcluster.dpp import (
+    MAX_LATTICE_SIZE,
     build_spectral_model,
     dpp_log_density,
     dpp_log_ratio,
@@ -152,6 +153,16 @@ def test_build_validation():
     with pytest.raises(ConfigError):
         build_spectral_model(q=1, lattice_radius=1, rho=1.0, alpha=0.0,
                              box_lo=[0.5], box_hi=[2.0])
+
+
+def test_oversized_lattice_is_refused_before_enumeration():
+    assert 5 ** 6 <= MAX_LATTICE_SIZE  # D=6 at the default radius stays admitted
+    with pytest.raises(ConfigError) as err:
+        build_spectral_model(q=10, lattice_radius=2, rho=1.0, alpha=0.1,
+                             box_lo=[0.5] * 10, box_hi=[2.0] * 10)
+    msg = str(err.value)
+    assert "q=10" in msg and "L=2" in msg and "9,765,625" in msg
+    assert "prior.dpp.lattice_radius" in msg
 
 
 def _ten_event_dataset():
