@@ -17,24 +17,27 @@ or input error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import core
 from .backbone import FeatureSet
 from .core import (
     BasisConfig,
     ConfigError,
     Dataset,
-    DppConfig,
     MixtureState,
     NumericalError,
     PriorBundle,
-    SgldSchedule,
     read_jsonl,
     write_jsonl,
 )
@@ -45,7 +48,6 @@ from .sampler import RunReport, SamplerConfig, run_sampler
 from .simulate import (
     build_hawkes_delta_dataset,
     build_hybrid_dataset,
-    read_metadata,
     write_metadata,
 )
 
@@ -68,11 +70,13 @@ def _write_json(obj, path: Path) -> None:
 
 
 def _merge(base: dict, override: dict, context="config") -> dict:
+    if not isinstance(override, dict):
+        raise ConfigError(f"{context} must be an object, got {override!r}")
     out = dict(base)
     for key, val in override.items():
         if key not in base:
             raise ConfigError(f"unknown {context} key: {key!r}")
-        if isinstance(base[key], dict) and isinstance(val, dict):
+        if isinstance(base[key], dict):
             out[key] = _merge(base[key], val, f"{context}.{key}")
         else:
             out[key] = val
@@ -80,98 +84,117 @@ def _merge(base: dict, override: dict, context="config") -> dict:
 
 
 # ---------------------------------------------------------------------------
-# fit configuration
+# fit configuration: the config file has the tree of FitConfig.  Each
+# section's dataclass holds its keys, defaults, types and range checks.
 
 
-def _default_fit_dict() -> dict:
-    return {
-        "seed": 0,
-        "data": {"path": None, "n_types": None},
-        "basis": {"n_basis": 3, "tau_max": None, "sigma": None},
-        "prior": {
-            "beta_w": 10.0,
-            "dpp": {
-                "rho": None,
-                "alpha": 0.1,
-                "lattice_radius": 2,
-                "box_lo": None,
-                "box_hi": None,
-                "lo_factor": 4.0,
-                "hi_factor": 2.0,
-            },
-            "sgld": {"eps0": 1e-4, "decay": 0.51, "offset": 100.0, "minibatch": 16},
-        },
-        "pretrain": {"m_init": 4, "rounds": 3, "gd_steps": 25, "learning_rate": 0.2},
-        "sampler": {
-            "iterations": 500,
-            "burn_in": 200,
-            "p_birth": 0.5,
-            "bd_attempts": 1,
-            "s_mu": 0.05,
-            "stride": 1,
-        },
-        "eval_fraction": 0.2,
-    }
+@dataclass(frozen=True)
+class DataConfig:
+    path: str | None = None
+    n_types: int | None = None     # None: sidecar metadata, else the largest mark
 
 
-@dataclass
+@dataclass(frozen=True)
+class BasisSpec:  # the arguments of BasisConfig.for_data
+    n_basis: int = 3
+    tau_max: float | None = None
+    sigma: float | None = None
+
+
+@dataclass(frozen=True)
+class FitPretrainConfig(PretrainConfig):
+    m_init: int | tuple[int, int] = 4   # initial cluster count, or a [lo, hi] range drawn per fit
+
+
+@dataclass(frozen=True)
+class FitSamplerConfig(SamplerConfig):
+    def __post_init__(self):  # a fit reports the best stored sample, so it needs one
+        if self.iterations <= self.burn_in:
+            raise ConfigError("sampler iterations must exceed burn_in")
+        super().__post_init__()
+
+
+@dataclass(frozen=True)
 class FitConfig:
-    """Typed view of the resolved fit configuration."""
+    """The resolved fit configuration."""
 
-    raw: dict
+    seed: int = 0
+    data: DataConfig = field(default_factory=DataConfig)
+    basis: BasisSpec = field(default_factory=BasisSpec)
+    prior: PriorBundle = field(default_factory=PriorBundle)
+    pretrain: FitPretrainConfig = field(default_factory=FitPretrainConfig)
+    sampler: FitSamplerConfig = field(default_factory=FitSamplerConfig)
+    eval_fraction: float = 0.2
 
     def __post_init__(self):
-        d = self.raw
-        sg = d["prior"]["sgld"]
-        dp = d["prior"]["dpp"]
-        self.seed = int(d["seed"])
-        self.eval_fraction = float(d["eval_fraction"])
+        if self.seed < 0:
+            raise ConfigError(f"config.seed must be >= 0, got {self.seed}")
         if not (0.0 <= self.eval_fraction < 1.0):
-            raise ConfigError("eval_fraction must lie in [0, 1)")
-        self.prior = PriorBundle(
-            beta_w=float(d["prior"]["beta_w"]),
-            dpp=DppConfig(
-                rho=None if dp["rho"] is None else float(dp["rho"]),
-                alpha=float(dp["alpha"]),
-                lattice_radius=int(dp["lattice_radius"]),
-                box_lo=None if dp["box_lo"] is None else tuple(dp["box_lo"]),
-                box_hi=None if dp["box_hi"] is None else tuple(dp["box_hi"]),
-                lo_factor=float(dp["lo_factor"]),
-                hi_factor=float(dp["hi_factor"]),
-            ),
-            sgld=SgldSchedule(
-                eps0=float(sg["eps0"]),
-                decay=float(sg["decay"]),
-                offset=float(sg["offset"]),
-                minibatch=int(sg["minibatch"]),
-            ),
-        )
-        pt = d["pretrain"]
-        self.pretrain_rounds = int(pt["rounds"])
-        self.pretrain_steps = int(pt["gd_steps"])
-        self.pretrain_lr = float(pt["learning_rate"])
-        self.m_init_spec = pt["m_init"]
-        sa = d["sampler"]
-        if int(sa["iterations"]) <= int(sa["burn_in"]):
-            raise ConfigError("sampler iterations must exceed burn_in")
-        self.sampler_kw = dict(
-            iterations=int(sa["iterations"]),
-            burn_in=int(sa["burn_in"]),
-            p_birth=float(sa["p_birth"]),
-            bd_attempts=int(sa["bd_attempts"]),
-            s_mu=float(sa["s_mu"]),
-            stride=int(sa["stride"]),
-        )
-        self.basis_kw = d["basis"]
+            raise ConfigError("config.eval_fraction must lie in [0, 1)")
+
+    @property
+    def raw(self) -> dict:
+        """The config as a JSON-ready dict; resolving it gives this config back."""
+        return {f.name: _to_json(getattr(self, f.name)) for f in fields(self)}
 
     @staticmethod
     def resolve(file_cfg: dict | None = None, overrides: dict | None = None) -> "FitConfig":
-        merged = _default_fit_dict()
-        if file_cfg:
-            merged = _merge(merged, file_cfg)
-        if overrides:
-            merged = _merge(merged, overrides)
-        return FitConfig(merged)
+        merged = FitConfig().raw
+        for layer in (file_cfg, overrides):
+            if layer is not None:
+                merged = _merge(merged, layer)
+        hints = typing.get_type_hints(FitConfig)
+        return FitConfig(**{f.name: _build(hints[f.name], merged[f.name], f"config.{f.name}")
+                            for f in fields(FitConfig)})
+
+
+# Fields of a section that run_fit sets itself (seeds derived from
+# config.seed, and the sampler's test aid); they are not config keys.
+_RUN_SET = ("seed", "debug_checks")
+
+
+def _to_json(val):
+    if not is_dataclass(val):
+        return list(val) if isinstance(val, tuple) else val
+    return {f.name: _to_json(getattr(val, f.name)) for f in fields(val) if f.name not in _RUN_SET}
+
+
+def _build(tp, val, key: str):
+    """``val`` as a value of the annotation ``tp``; a bad type or a failed
+    range check raises a ConfigError naming the dotted ``key``."""
+    if is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        kwargs = {f.name: _build(hints[f.name], val[f.name], f"{key}.{f.name}")
+                  for f in fields(tp) if f.name not in _RUN_SET}
+        try:
+            return tp(**kwargs)
+        except ConfigError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
+    try:
+        return _coerce(tp, val)
+    except (ValueError, OverflowError):
+        raise ConfigError(f"{key} must be {getattr(tp, '__name__', tp)}, got {val!r}") from None
+
+
+def _coerce(tp, val):
+    """``val`` as a value of the annotation ``tp``, else ValueError: an int takes JSON
+    integers only, a float any finite number, a tuple a list of them, ``X | None`` null."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:
+        for alt in args:
+            with contextlib.suppress(ValueError):
+                return _coerce(alt, val)
+    elif origin is tuple:
+        if isinstance(val, (list, tuple)):
+            elems = args[:1] * len(val) if args[-1] is Ellipsis else args
+            if len(val) == len(elems):
+                return tuple(map(_coerce, elems, val))
+    elif tp is float:
+        if type(val) in (int, float) and math.isfinite(val):
+            return float(val)
+    elif type(val) is tp:
+        return val
+    raise ValueError(val)
 
 
 def _draw_m_init(spec, rng: np.random.Generator) -> int:
@@ -190,12 +213,13 @@ class FitResult:
     train_idx: np.ndarray
     eval_idx: np.ndarray
     m_init: int
-    config_dict: dict = field(default_factory=dict)
 
 
 def run_fit(data: Dataset, cfg: FitConfig) -> FitResult:
     """Full pipeline on an in-memory dataset: split, pretrain, sample."""
-    problems = _validate_for_fit(data)
+    problems = core.validate_dataset(data)
+    if not problems and data.n_events == 0:
+        problems.append("dataset contains no events")
     if problems:
         raise ConfigError("invalid dataset: " + "; ".join(problems))
     seeds = np.random.SeedSequence(cfg.seed).generate_state(4)
@@ -210,36 +234,15 @@ def run_fit(data: Dataset, cfg: FitConfig) -> FitResult:
         raise ConfigError("training split is empty; lower eval_fraction")
     train = data.subset(train_idx)
 
-    basis = BasisConfig.for_data(
-        train,
-        n_basis=int(cfg.basis_kw["n_basis"]),
-        tau_max=cfg.basis_kw["tau_max"],
-        sigma=cfg.basis_kw["sigma"],
-    )
+    basis = BasisConfig.for_data(train, **asdict(cfg.basis))
     features = FeatureSet(train, basis)
-    m_init = _draw_m_init(cfg.m_init_spec, np.random.default_rng(int(seeds[1])))
+    m_init = _draw_m_init(cfg.pretrain.m_init, np.random.default_rng(int(seeds[1])))
     dpp_model = model_for_data(train, cfg.prior.dpp, default_rho=m_init)
-    pre_cfg = PretrainConfig(
-        rounds=cfg.pretrain_rounds,
-        gd_steps=cfg.pretrain_steps,
-        learning_rate=cfg.pretrain_lr,
-        seed=int(seeds[2]),
-    )
-    init = pretrain_mixture(train, m_init, pre_cfg, cfg.prior, basis,
-                            features=features, dpp_model=dpp_model)
-    sampler_cfg = SamplerConfig(seed=int(seeds[3]), **cfg.sampler_kw)
-    trace, report = run_sampler(train, init, cfg.prior, sampler_cfg,
+    init = pretrain_mixture(train, m_init, replace(cfg.pretrain, seed=int(seeds[2])), cfg.prior,
+                            basis, features=features, dpp_model=dpp_model)
+    trace, report = run_sampler(train, init, cfg.prior, replace(cfg.sampler, seed=int(seeds[3])),
                                 features=features, dpp_model=dpp_model)
-    return FitResult(trace, report, basis, train_idx, eval_idx, m_init, cfg.raw)
-
-
-def _validate_for_fit(data: Dataset) -> list[str]:
-    from .core import validate_dataset
-
-    problems = validate_dataset(data)
-    if not problems and data.n_events == 0:
-        problems.append("dataset contains no events")
-    return problems
+    return FitResult(trace, report, basis, train_idx, eval_idx, m_init)
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +296,8 @@ def read_trace(path) -> list[dict]:
 
 def cmd_simulate(args) -> int:
     out = _resolve_out(args.out)
-    resolved = {
-        "recipe": args.recipe,
-        "k": args.k,
-        "n_per_cluster": args.n_per_cluster,
-        "horizon": args.horizon,
-        "delta": args.delta,
-        "seed": args.seed,
-    }
+    keys = ("recipe", "k", "n_per_cluster", "horizon", "delta", "seed")
+    resolved = {key: getattr(args, key) for key in keys}
     if args.recipe == "hawkes-delta":
         if args.delta is None:
             raise ConfigError("--delta is required for the hawkes-delta recipe")
@@ -322,40 +319,46 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _load_dataset(path: str, n_types_hint=None) -> Dataset:
+def _load_dataset(path: str, n_types=None) -> Dataset:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"dataset not found: {p}")
-    n_types = n_types_hint
-    meta = {}
     sidecar = p.with_suffix(".meta.json")
-    if sidecar.exists():
-        meta = read_metadata(sidecar)
-        n_types = n_types if n_types is not None else meta.get("n_types")
-    data = read_jsonl(p, n_types=n_types)
+    meta = _read_json(sidecar, "metadata") if sidecar.exists() else {}
+    data = read_jsonl(p, n_types=meta.get("n_types") if n_types is None else n_types)
     data.metadata.update(meta)
     return data
 
 
+def _write_run(result: FitResult, data: Dataset, data_path: str | None, out: Path) -> None:
+    """Write a fit's ``trace.jsonl`` and ``report.json`` into ``out``."""
+    _write_trace(result.trace, out / "trace.jsonl")
+    report = result.report.to_dict()
+    report["m_init"] = result.m_init
+    report["basis"] = result.basis.to_dict()
+    report["train_ids"] = [data.sequences[i].id for i in result.train_idx]
+    report["eval_ids"] = [data.sequences[i].id for i in result.eval_idx]
+    report["data_path"] = data_path
+    _write_json(report, out / "report.json")
+
+
+def _given(flags: dict) -> dict:
+    """Config overrides from command-line flags, without the flags not given."""
+    return {k: _given(v) if isinstance(v, dict) else v for k, v in flags.items() if v is not None}
+
+
+def _read_json(path: Path, what: str):
+    if not path.exists():
+        raise ConfigError(f"{what} not found: {path}")
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"malformed {what} {path}: {exc}") from None
+
+
 def cmd_fit(args) -> int:
-    file_cfg = None
-    if args.config:
-        cfg_path = Path(args.config)
-        if not cfg_path.exists():
-            raise ConfigError(f"config file not found: {cfg_path}")
-        try:
-            file_cfg = json.loads(cfg_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed config file: {exc}") from None
-    overrides: dict = {}
-    if args.data:
-        overrides.setdefault("data", {})["path"] = args.data
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.iterations is not None:
-        overrides.setdefault("sampler", {})["iterations"] = args.iterations
-    if args.burn_in is not None:
-        overrides.setdefault("sampler", {})["burn_in"] = args.burn_in
+    file_cfg = _read_json(Path(args.config), "config file") if args.config else None
+    m_init = None
     if args.m_init is not None:
         lo, _, hi = args.m_init.partition(":")
         try:
@@ -364,25 +367,20 @@ def cmd_fit(args) -> int:
             raise ConfigError(
                 f"--m-init must be an integer or lo:hi range, got {args.m_init!r}"
             ) from None
-        overrides.setdefault("pretrain", {})["m_init"] = m_init
-    if args.eval_fraction is not None:
-        overrides["eval_fraction"] = args.eval_fraction
+    overrides = _given({
+        "seed": args.seed, "data": {"path": args.data or None}, "pretrain": {"m_init": m_init},
+        "sampler": {"iterations": args.iterations, "burn_in": args.burn_in},
+        "eval_fraction": args.eval_fraction,
+    })
     cfg = FitConfig.resolve(file_cfg, overrides)
-    if cfg.raw["data"]["path"] is None:
+    if cfg.data.path is None:
         raise ConfigError("no dataset given: pass --data or set data.path in the config")
 
-    data = _load_dataset(cfg.raw["data"]["path"], cfg.raw["data"]["n_types"])
+    data = _load_dataset(cfg.data.path, cfg.data.n_types)
     out = _resolve_out(args.out)
     _write_json(cfg.raw, out / "resolved_config.json")
     result = run_fit(data, cfg)
-    _write_trace(result.trace, out / "trace.jsonl")
-    report = result.report.to_dict()
-    report["m_init"] = result.m_init
-    report["basis"] = result.basis.to_dict()
-    report["train_ids"] = [data.sequences[i].id for i in result.train_idx]
-    report["eval_ids"] = [data.sequences[i].id for i in result.eval_idx]
-    report["data_path"] = cfg.raw["data"]["path"]
-    _write_json(report, out / "report.json")
+    _write_run(result, data, cfg.data.path, out)
     print(
         f"fit: {len(result.train_idx)} train sequences, "
         f"k_mean={result.report.k_mean:.3f}, "
@@ -393,28 +391,23 @@ def cmd_fit(args) -> int:
 
 
 def _state_from_report(rep: dict) -> MixtureState:
-    from .core import Component
-
     m = rep.get("map")
     if not m:
         raise ConfigError("report has no point estimate (no stored samples)")
     basis = BasisConfig.from_dict(m["basis"])
-    alloc = [
-        Component(np.asarray(c["mu"]), np.asarray(c["w"]), float(c["r"]))
-        for c in m["components"]
-    ]
-    spare = [
-        Component(np.asarray(c["mu"]), np.asarray(c["w"]), float(c["r"]))
-        for c in m.get("spare_components", [])
-    ]
+    alloc, spare = (
+        [core.Component(np.asarray(c["mu"]), np.asarray(c["w"]), float(c["r"])) for c in comps]
+        for comps in (m["components"], m.get("spare_components", []))
+    )
     return MixtureState(alloc, spare, np.asarray(m["labels"], dtype=np.int64), m["u"], basis)
 
 
 def cmd_eval(args) -> int:
     rep_path = Path(args.report)
-    if not rep_path.exists():
-        raise ConfigError(f"report not found: {rep_path}")
-    rep = json.loads(rep_path.read_text(encoding="utf-8"))
+    rep = _read_json(rep_path, "report")
+    needed = {"train_ids", "eval_ids", "k_mean", "k_hist"}
+    if not isinstance(rep, dict) or not needed <= rep.keys():
+        raise ConfigError(f"malformed report {rep_path}: not a fit report.json")
     data = _load_dataset(args.data)
     by_id = {s.id: i for i, s in enumerate(data.sequences)}
     missing = [sid for sid in rep["train_ids"] + rep["eval_ids"] if sid not in by_id]
@@ -458,20 +451,21 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    deltas = [float(x) for x in args.deltas.split(",") if x.strip()]
+    try:
+        deltas = [float(x) for x in args.deltas.split(",") if x.strip()]
+    except ValueError:
+        raise ConfigError(f"--deltas must list numbers, got {args.deltas!r}") from None
     if not deltas:
         raise ConfigError("--deltas must list at least one value")
     if args.trials < 1:
         raise ConfigError("--trials must be >= 1")
     out = _resolve_out(args.out)
-    overrides: dict = {"eval_fraction": 0.0,
-                       "pretrain": {"m_init": [max(args.k - 1, 1), args.k + 1]}}
-    if args.iterations is not None:
-        overrides.setdefault("sampler", {})["iterations"] = args.iterations
-    if args.burn_in is not None:
-        overrides.setdefault("sampler", {})["burn_in"] = args.burn_in
+    overrides = _given({
+        "eval_fraction": 0.0, "pretrain": {"m_init": [max(args.k - 1, 1), args.k + 1]},
+        "sampler": {"iterations": args.iterations, "burn_in": args.burn_in},
+    })
 
-    rows = ["delta,trial,purity,ari"]
+    rows = ["delta,trial,purity,ari,ell,k_mean"]
     summary = {}
     for di, delta in enumerate(deltas):
         vals = []
@@ -485,18 +479,18 @@ def cmd_sweep(args) -> int:
             )
             cfg = FitConfig.resolve(None, {**overrides, "seed": fit_seed})
             result = run_fit(data, cfg)
-            truth = data.subset(result.train_idx).labels()
+            train = data.subset(result.train_idx)
+            truth = train.labels()
             pred = result.report.map_labels
             pur = purity(pred, truth)
             ar = ari(pred, truth)
+            # eval_fraction is 0, so ell is on the training split, as eval --ell-on-train
+            ell_val = ell(result.report.map_state, train)
             vals.append((pur, ar))
-            rows.append(f"{delta},{trial},{pur!r},{ar!r}")
+            rows.append(f"{delta},{trial},{pur!r},{ar!r},{ell_val!r},{result.report.k_mean!r}")
             run_dir = out / f"delta_{delta}" / f"trial_{trial}"
             run_dir.mkdir(parents=True, exist_ok=True)
-            _write_trace(result.trace, run_dir / "trace.jsonl")
-            rep = result.report.to_dict()
-            rep["m_init"] = result.m_init
-            _write_json(rep, run_dir / "report.json")
+            _write_run(result, data, None, run_dir)
         mean_p = float(np.mean([v[0] for v in vals]))
         mean_a = float(np.mean([v[1] for v in vals]))
         summary[delta] = (mean_p, mean_a)

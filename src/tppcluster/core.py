@@ -197,7 +197,7 @@ class BasisConfig:
         return int(self.centers.size)
 
     @staticmethod
-    def for_data(data: Dataset, n_basis: int = 3, tau_max: float | None = None,
+    def for_data(data: Dataset, n_basis: int, tau_max: float | None = None,
                  sigma: float | None = None) -> "BasisConfig":
         """Data-driven default: tau_max = 3x the pooled mean inter-event gap,
         centers equally spaced on [0, tau_max], sigma = center spacing."""
@@ -307,8 +307,8 @@ class DppConfig:
     rho: float | None = None      # expected point count on the unit cube; None -> #initial clusters
     alpha: float = 0.1            # repulsion length scale in unit-cube coordinates
     lattice_radius: int = 2       # frequencies -L..L per dimension
-    box_lo: tuple | None = None   # explicit per-coordinate bounds (override)
-    box_hi: tuple | None = None
+    box_lo: tuple[float, ...] | None = None   # explicit per-coordinate bounds (override)
+    box_hi: tuple[float, ...] | None = None
     lo_factor: float = 4.0
     hi_factor: float = 2.0
 
@@ -505,6 +505,9 @@ def read_jsonl(path, n_types: int | None = None) -> Dataset:
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{path}:{ln}: malformed JSON ({exc})") from None
             try:
+                label = rec.get("label")
+                if label is not None and type(label) is not int:
+                    raise ValueError(f"label must be an integer or null, got {label!r}")
                 events = rec.get("events", [])
                 times = np.array([ev["t"] for ev in events], dtype=np.float64)
                 types = np.array([int(ev["d"]) - 1 for ev in events], dtype=np.int64)
@@ -513,9 +516,9 @@ def read_jsonl(path, n_types: int | None = None) -> Dataset:
                     types,
                     float(rec["T"]),
                     id=str(rec.get("id", f"line-{ln}")),
-                    label=rec.get("label"),
+                    label=label,
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"{path}:{ln}: bad record ({exc})") from None
             if types.size:
                 max_d = max(max_d, int(types.max()) + 1)

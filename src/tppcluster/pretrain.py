@@ -32,6 +32,7 @@ __all__ = ["PretrainConfig", "pretrain_mixture"]
 log = logging.getLogger(__name__)
 
 _MU_FLOOR = 1e-6
+_INIT_JITTER = 0.1  # relative spread of the initial base rates
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,6 @@ class PretrainConfig:
     rounds: int = 3
     gd_steps: int = 25
     learning_rate: float = 0.2
-    init_jitter: float = 0.1   # relative spread of the initial base rates
     seed: int = 0
 
     def __post_init__(self):
@@ -111,7 +111,7 @@ def pretrain_mixture(data: Dataset, m_init: int, config: PretrainConfig,
     lam_bar = data.mean_rate_per_type()
     mus, As = [], []
     for _ in range(m_init):
-        jitter = 1.0 + config.init_jitter * (2.0 * rng.random(D) - 1.0)
+        jitter = 1.0 + _INIT_JITTER * (2.0 * rng.random(D) - 1.0)
         mus.append(np.maximum(lam_bar * jitter, _MU_FLOOR))
         As.append(np.full((D, D, nb), 0.01))
 

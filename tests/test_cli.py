@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -167,6 +168,40 @@ def test_fit_rejects_non_finite_times(tmp_path, capsys):
         assert "invalid dataset" in err and sid in err
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"sampler": {"iterations": "abc"}}', "config.sampler.iterations"),
+    ('{"sampler": {"iterations": null}}', "config.sampler.iterations"),
+    ('{"sampler": {"iterations": 40.7}}', "config.sampler.iterations"),
+    ('{"sampler": {"burn_in": true}}', "config.sampler.burn_in"),
+    ('{"prior": {"dpp": {"box_lo": 5, "box_hi": 6}}}', "config.prior.dpp.box_lo"),
+    ('{"prior": {"dpp": {"lattice_radius": "2"}}}', "config.prior.dpp.lattice_radius"),
+    ('{"prior": {"dpp": {"alpha": -1}}}', "config.prior.dpp"),
+    ('{"prior": "x"}', "config.prior"),
+    ("[1, 2]", "config"),
+    ('{"pretrain": {"m_init": [1, "x"]}}', "config.pretrain.m_init"),
+    ('{"seed": -1}', "config.seed"),
+    ('{"seed": 1.5}', "config.seed"),
+    ('{"eval_fraction": "0.1"}', "config.eval_fraction"),
+])
+def test_fit_rejects_mistyped_config(tmp_path, capsys, text, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["fit", "--data", "unused.jsonl", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and re.match(rf"error: {re.escape(key)}[ :]", err[0]), err
+
+
+def test_fit_rejects_non_integer_labels(tmp_path, capsys):
+    for label in ('"x"', "1.5"):
+        path = tmp_path / "labels.jsonl"
+        path.write_text('{"id":"a","T":5.0,"label":0,"events":[{"t":0.5,"d":1}]}\n'
+                        f'{{"id":"b","T":5.0,"label":{label},"events":[{{"t":1.0,"d":1}}]}}\n')
+        assert main(["fit", "--data", str(path), "--out", str(tmp_path / "f")]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:2:" in err and "label must be an integer" in err
+
+
 def test_fit_input_error_paths(tmp_path, capsys):
     sim = _simulate(tmp_path)
     broken = tmp_path / "broken.json"
@@ -257,7 +292,7 @@ def test_eval_train_fallback_for_ell(tmp_path):
     assert metrics["ell"] is not None and metrics["ell_on_train"] is True
 
 
-def test_eval_requires_matching_dataset(tmp_path):
+def test_eval_requires_matching_dataset(tmp_path, capsys):
     sim = _simulate(tmp_path)
     fit = _fit(tmp_path, sim / "dataset.jsonl")
     other = _simulate(tmp_path, name="other", n=3, seed=99)
@@ -267,6 +302,13 @@ def test_eval_requires_matching_dataset(tmp_path):
     assert main(["eval", "--report", str(tmp_path / "no_report.json"),
                  "--data", str(sim / "dataset.jsonl"),
                  "--out", str(tmp_path / "ey")]) == 1
+    capsys.readouterr()
+    for name, text in (("truncated.json", '{"train_ids": ['), ("list.json", "[]")):
+        bad = tmp_path / name
+        bad.write_text(text)
+        assert main(["eval", "--report", str(bad), "--data", str(sim / "dataset.jsonl"),
+                     "--out", str(tmp_path / "ez")]) == 1
+        assert f"malformed report {bad}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -280,22 +322,29 @@ def test_sweep_grid(tmp_path):
                "--burn-in", "5", "--seed", "3", "--out", str(out)])
     assert rc == 0
     rows = (out / "sweep.csv").read_text().splitlines()
-    assert rows[0] == "delta,trial,purity,ari"
+    assert rows[0] == "delta,trial,purity,ari,ell,k_mean"
     assert len(rows) == 3
     summary = json.loads((out / "sweep_summary.json").read_text())
     assert set(summary) == {"0.3", "0.9"}
     for stats in summary.values():
         assert 0.0 <= stats["purity"] <= 1.0
-    for delta in ("0.3", "0.9"):
+    for delta, row in zip(("0.3", "0.9"), rows[1:]):
         run = out / f"delta_{delta}" / "trial_0"
-        assert (run / "report.json").exists()
         assert (run / "trace.jsonl").exists()
+        report = json.loads((run / "report.json").read_text())
+        ell_val, k_mean = (float(x) for x in row.split(",")[4:])
+        assert math.isfinite(ell_val)
+        assert k_mean == report["k_mean"]
+        assert report["eval_ids"] == [] and len(report["train_ids"]) == 8
 
 
-def test_sweep_argument_validation(tmp_path):
+def test_sweep_argument_validation(tmp_path, capsys):
     assert main(["sweep", "--deltas", " ", "--out", str(tmp_path / "s1")]) == 1
     assert main(["sweep", "--deltas", "0.5", "--trials", "0",
                  "--out", str(tmp_path / "s2")]) == 1
+    capsys.readouterr()
+    assert main(["sweep", "--deltas", "0.5,abc", "--out", str(tmp_path / "s3")]) == 1
+    assert "--deltas" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -371,5 +420,5 @@ def test_fit_config_validation():
     with pytest.raises(ConfigError):
         FitConfig.resolve(None, {"sampler": {"iterations": 5, "burn_in": 9}})
     cfg = FitConfig.resolve(None, {"pretrain": {"m_init": [2, 5]}})
-    assert cfg.m_init_spec == [2, 5]
+    assert cfg.pretrain.m_init == (2, 5)
     assert math.isclose(cfg.prior.beta_w, 10.0)

@@ -21,7 +21,7 @@ def _poisson_data(rates, n=30, horizon=8.0, seed=13):
 def test_single_cluster_recovers_poisson_rates():
     rates = np.array([1.5, 0.7])
     data = _poisson_data(rates)
-    basis = BasisConfig.for_data(data)
+    basis = BasisConfig.for_data(data, n_basis=3)
     state = pretrain_mixture(data, 1, PretrainConfig(seed=0), PRIOR, basis)
     assert state.k == 1
     assert state.l == 0
@@ -38,7 +38,7 @@ def test_single_cluster_recovers_poisson_rates():
 
 def test_separated_clusters_are_found(tiny2):
     labels = np.array([s.label for s in tiny2.sequences])
-    basis = BasisConfig.for_data(tiny2)
+    basis = BasisConfig.for_data(tiny2, n_basis=3)
     state = pretrain_mixture(tiny2, 2, PretrainConfig(seed=1), PRIOR, basis)
     assert state.k == 2
     assert purity(state.c, labels) >= 0.99
@@ -47,7 +47,7 @@ def test_separated_clusters_are_found(tiny2):
 
 def test_zero_rounds_is_raw_initialisation():
     data = _poisson_data([1.0], n=12)
-    basis = BasisConfig.for_data(data)
+    basis = BasisConfig.for_data(data, n_basis=3)
     cfg = PretrainConfig(rounds=0, seed=5)
     state = pretrain_mixture(data, 3, cfg, PRIOR, basis)
     lam = data.mean_rate_per_type()
@@ -63,7 +63,7 @@ def test_zero_rounds_is_raw_initialisation():
 
 def test_same_seed_same_state():
     data = _poisson_data([0.8, 1.6], n=16)
-    basis = BasisConfig.for_data(data)
+    basis = BasisConfig.for_data(data, n_basis=3)
     a = pretrain_mixture(data, 2, PretrainConfig(seed=7), PRIOR, basis)
     b = pretrain_mixture(data, 2, PretrainConfig(seed=7), PRIOR, basis)
     assert np.array_equal(a.c, b.c)
@@ -76,7 +76,7 @@ def test_same_seed_same_state():
 
 def test_more_rounds_never_hurt_the_fit():
     data = _poisson_data([0.9, 1.8], n=20, seed=3)
-    basis = BasisConfig.for_data(data)
+    basis = BasisConfig.for_data(data, n_basis=3)
     features = FeatureSet(data, basis)
 
     def objective(state):
@@ -96,7 +96,7 @@ def test_more_rounds_never_hurt_the_fit():
 
 def test_box_clamp_keeps_rates_inside_and_distinct():
     data = _poisson_data([3.0], n=10, seed=4)
-    basis = BasisConfig.for_data(data)
+    basis = BasisConfig.for_data(data, n_basis=3)
     # a deliberately narrow box far below the fitted rates forces clamping
     cfg = DppConfig(box_lo=(0.2,), box_hi=(0.4,))
     dpp_model = model_for_data(data, cfg, default_rho=2.0)
@@ -111,7 +111,7 @@ def test_box_clamp_keeps_rates_inside_and_distinct():
 
 def test_validation_errors():
     data = _poisson_data([1.0], n=4)
-    basis = BasisConfig.for_data(data)
+    basis = BasisConfig.for_data(data, n_basis=3)
     with pytest.raises(ConfigError):
         pretrain_mixture(data, 0, PretrainConfig(), PRIOR, basis)
     with pytest.raises(ConfigError):
@@ -124,7 +124,7 @@ def test_validation_errors():
 
 
 def test_returned_state_is_sampler_ready(tiny2):
-    basis = BasisConfig.for_data(tiny2)
+    basis = BasisConfig.for_data(tiny2, n_basis=3)
     dpp_model = model_for_data(tiny2, DppConfig(), default_rho=2.0)
     state = pretrain_mixture(tiny2, 4, PretrainConfig(seed=9), PRIOR, basis,
                              dpp_model=dpp_model)

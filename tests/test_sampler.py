@@ -486,7 +486,7 @@ def test_conjugate_draws_match_reference_mh():
 
 def test_two_well_separated_clusters_are_recovered(tiny2):
     labels = np.array([s.label for s in tiny2.sequences])
-    basis = BasisConfig.for_data(tiny2)
+    basis = BasisConfig.for_data(tiny2, n_basis=3)
     prior = PriorBundle()
     dpp_model = model_for_data(tiny2, prior.dpp, default_rho=2)
     init = pretrain_mixture(tiny2, 2, PretrainConfig(seed=0), prior, basis,
