@@ -181,6 +181,11 @@ class FeatureSet:
 
     All heavy sampler arithmetic — likelihood columns over every sequence,
     minibatch gradients, base-rate proposal deltas — runs on these arrays.
+    The per-event excitation is one BLAS GEMM: the ``(B·width, D·n_basis)``
+    feature matrix times ``a`` as a ``(D, D·n_basis)`` matrix gives each
+    event's excitation toward every target type, and each event keeps its
+    own type's column.  A call on a subset ``idx`` cuts its rows to the
+    longest sequence in it, so every per-event block is ``(B, width)``.
     """
 
     def __init__(self, data: Dataset, basis: BasisConfig):
@@ -209,24 +214,36 @@ class FeatureSet:
         self.onehot[ii, jj, self.types[ii, jj]] = 1.0
         self.n_events = self.mask.sum(axis=1)
 
-    # -- likelihood columns -------------------------------------------------
+    # -- per-event rates ------------------------------------------------------
 
-    def _event_rates(self, mu: np.ndarray, a: np.ndarray, idx=None):
-        ex = self.excite if idx is None else self.excite[idx]
-        ty = self.types if idx is None else self.types[idx]
-        return mu[ty] + np.einsum("nidj,nidj->ni", a[ty], ex)
+    def _rows(self, idx):
+        """Index of the event slots of sequences ``idx`` (all when None), cut to
+        the longest of them; every per-event block taken with it is (B, width)."""
+        if idx is None:
+            return np.s_[:, :]
+        return np.s_[idx, : self.n_events[idx].max(initial=0)]
+
+    def _excitation(self, a: np.ndarray, excite: np.ndarray, types: np.ndarray) -> np.ndarray:
+        """sum_{d',j} a[d_i, d', j] * excite[i, d', j] for each event slot; (B, width)."""
+        D = self.n_types
+        a2 = a.reshape(D, -1)
+        toward = excite.reshape(-1, a2.shape[1]) @ a2.T  # (B·width, D): every target type
+        return toward.ravel().take(np.arange(0, toward.size, D) + types.ravel()).reshape(types.shape)
+
+    # -- likelihood columns -------------------------------------------------
 
     def loglik_all(self, mu: np.ndarray, a: np.ndarray, idx=None) -> np.ndarray:
         """Per-sequence log likelihood under (mu, a); shape (N,) or (len(idx),)."""
-        mask = self.mask if idx is None else self.mask[idx]
+        rows = self._rows(idx)
+        types, mask = self.types[rows], self.mask[rows]
         comp = self.comp if idx is None else self.comp[idx]
         horiz = self.horizons if idx is None else self.horizons[idx]
-        lam = self._event_rates(mu, a, idx)
-        bad = (lam <= 0) & mask
-        lam_safe = np.where(lam > 0, lam, 1.0)
-        ev = np.where(mask, np.log(lam_safe), 0.0).sum(axis=1)
-        out = ev - horiz * mu.sum() - np.einsum("dj,ndj->n", a.sum(axis=0), comp)
-        out[bad.any(axis=1)] = -np.inf
+        lam = mu[types] + self._excitation(a, self.excite[rows], types)
+        ok = lam > 0
+        ev = np.log(lam, out=np.zeros_like(lam), where=mask & ok).sum(axis=1)
+        col = a.sum(axis=0).ravel()  # (D·n_basis,): a source slot's weight on all targets
+        out = ev - horiz * mu.sum() - comp.reshape(-1, col.size) @ col
+        out[(mask & ~ok).any(axis=1)] = -np.inf
         return out
 
     def loglik_sum(self, mu: np.ndarray, a: np.ndarray, idx=None) -> float:
@@ -235,34 +252,51 @@ class FeatureSet:
     # -- base-rate move helpers ---------------------------------------------
 
     def excitation(self, a: np.ndarray, idx) -> np.ndarray:
-        """Event-wise excitation sum_{d',j} a[d_i, d', j] * excite; (B, I_max)."""
-        return np.einsum("nidj,nidj->ni", a[self.types[idx]], self.excite[idx])
+        """Event-wise excitation sum_{d',j} a[d_i, d', j] * excite of the
+        sequences ``idx``, from the GEMM; shape (B, width), width the longest
+        of them, the layout :meth:`event_term` expects."""
+        rows = self._rows(idx)
+        return self._excitation(a, self.excite[rows], self.types[rows])
 
     def event_term(self, mu: np.ndarray, excitation: np.ndarray, idx) -> float:
         """Sum over the chosen sequences of event log-intensities for a given
         base-rate vector, reusing a precomputed excitation block."""
-        lam = mu[self.types[idx]] + excitation
-        mask = self.mask[idx]
+        rows = self._rows(idx)
+        lam = mu[self.types[rows]] + excitation
+        mask = self.mask[rows]
         if np.any((lam <= 0) & mask):
             return -math.inf
-        lam_safe = np.where(lam > 0, lam, 1.0)
-        return float(np.where(mask, np.log(lam_safe), 0.0).sum())
+        return float(np.log(lam, out=np.zeros_like(lam), where=mask).sum())
 
-    # -- triggering-coefficient gradient ------------------------------------
+    # -- gradients ----------------------------------------------------------
+
+    def loglik_grad(self, mu: np.ndarray, a: np.ndarray, idx):
+        """Summed gradient of the log likelihood over sequences ``idx``; shapes
+        (D,), (D, D, n_basis).
+
+        With ``W = onehot / lambda`` over the event slots, the ``mu`` part is
+        the column sums of ``W`` and the ``a`` part the GEMM ``Wᵀ @ excite``.
+        The ``a`` part is None when some event rate is nonpositive (invalid
+        point); the ``mu`` part then counts such an event with rate 1.
+        """
+        rows = self._rows(idx)
+        types, mask, excite = self.types[rows], self.mask[rows], self.excite[rows]
+        lam = mu[types] + self._excitation(a, excite, types)
+        inv = np.where(mask, 1.0 / np.where(lam > 0, lam, 1.0), 0.0)
+        W = (self.onehot[rows] * inv[..., None]).reshape(-1, self.n_types)
+        gmu = W.sum(axis=0) - self.horizons[idx].sum()
+        if np.any((lam <= 0) & mask):
+            return gmu, None
+        ga = (W.T @ excite.reshape(-1, a[0].size)).reshape(a.shape)
+        ga -= self.comp[idx].sum(axis=0)[None, :, :]
+        return gmu, ga
 
     def grad_a(self, mu: np.ndarray, a: np.ndarray, idx) -> np.ndarray | None:
         """Summed gradient of the log likelihood in ``a`` over sequences ``idx``.
 
         Returns None when some event rate is nonpositive (invalid point).
         """
-        lam = self._event_rates(mu, a, idx)
-        mask = self.mask[idx]
-        if np.any((lam <= 0) & mask):
-            return None
-        inv = np.where(mask, 1.0 / np.where(lam > 0, lam, 1.0), 0.0)
-        grad = np.einsum("nid,ni,nixj->dxj", self.onehot[idx], inv, self.excite[idx])
-        grad -= self.comp[idx].sum(axis=0)[None, :, :]
-        return grad
+        return self.loglik_grad(mu, a, idx)[1]
 
 
 # ---------------------------------------------------------------------------

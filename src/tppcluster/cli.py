@@ -100,6 +100,14 @@ class BasisSpec:  # the arguments of BasisConfig.for_data
     tau_max: float | None = None
     sigma: float | None = None
 
+    def __post_init__(self):
+        if self.n_basis < 1:
+            raise ConfigError(f"n_basis must be >= 1, got {self.n_basis}")
+        for key in ("tau_max", "sigma"):
+            val = getattr(self, key)
+            if val is not None and val <= 0:
+                raise ConfigError(f"{key} must be positive when given, got {val}")
+
 
 @dataclass(frozen=True)
 class FitPretrainConfig(PretrainConfig):
@@ -325,7 +333,14 @@ def _load_dataset(path: str, n_types=None) -> Dataset:
         raise ConfigError(f"dataset not found: {p}")
     sidecar = p.with_suffix(".meta.json")
     meta = _read_json(sidecar, "metadata") if sidecar.exists() else {}
-    data = read_jsonl(p, n_types=meta.get("n_types") if n_types is None else n_types)
+    if not isinstance(meta, dict):
+        raise ConfigError(f"malformed metadata {sidecar}: not a JSON object")
+    side_types = meta.get("n_types")
+    if side_types is not None and (type(side_types) is not int or side_types < 1):
+        raise ConfigError(
+            f"malformed metadata {sidecar}: n_types must be a positive integer, got {side_types!r}"
+        )
+    data = read_jsonl(p, n_types=side_types if n_types is None else n_types)
     data.metadata.update(meta)
     return data
 
@@ -455,6 +470,9 @@ def cmd_sweep(args) -> int:
         deltas = [float(x) for x in args.deltas.split(",") if x.strip()]
     except ValueError:
         raise ConfigError(f"--deltas must list numbers, got {args.deltas!r}") from None
+    bad = [d for d in deltas if not (math.isfinite(d) and d >= 0)]
+    if bad:  # checked before any cell runs
+        raise ConfigError(f"--deltas: delta must be a finite nonnegative number, got {bad[0]}")
     if not deltas:
         raise ConfigError("--deltas must list at least one value")
     if args.trials < 1:

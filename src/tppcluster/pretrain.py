@@ -77,11 +77,7 @@ def _cluster_ascent(features: FeatureSet, idx: np.ndarray, mu: np.ndarray, a: np
 
 
 def _grads(features: FeatureSet, idx: np.ndarray, mu: np.ndarray, a: np.ndarray):
-    lam = features._event_rates(mu, a, idx)
-    mask = features.mask[idx]
-    inv = np.where(mask, 1.0 / np.where(lam > 0, lam, 1.0), 0.0)
-    gmu = np.einsum("nid,ni->d", features.onehot[idx], inv) - features.horizons[idx].sum()
-    ga = features.grad_a(mu, a, idx)
+    gmu, ga = features.loglik_grad(mu, a, idx)
     if ga is None:  # nonpositive rate: push mass up via the mu gradient only
         ga = np.zeros_like(a)
     return gmu, ga

@@ -175,8 +175,8 @@ def build_hawkes_delta_dataset(k_clusters: int, delta: float, n_per_cluster: int
     kernel.  Larger ``delta`` spreads the clusters apart."""
     if k_clusters < 1:
         raise ConfigError("k_clusters must be >= 1")
-    if delta < 0:
-        raise ConfigError("delta must be nonnegative")
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ConfigError(f"delta must be a finite nonnegative number, got {delta}")
     comps = [
         _uniform_hawkes(0.5 + delta * m, a_value, n_types)
         for m in range(k_clusters)

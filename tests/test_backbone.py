@@ -170,48 +170,68 @@ def _random_dataset(rng, n=6, D=2):
     return Dataset(seqs, D)
 
 
-def test_featureset_matches_per_sequence_loglik():
-    rng = np.random.default_rng(11)
-    data = _random_dataset(rng)
+def _subset_cases(D):
+    """Random sequences plus two empty ones and one longest, a random point
+    (mu, a), and index sets whose rows are cut to different widths: all
+    sequences, all but the longest, only the empty ones, and one sequence."""
+    rng = np.random.default_rng(10 + D)
+    seqs = _random_dataset(rng, D=D).sequences
+    empty = [EventSequence(np.array([]), np.array([], dtype=np.int64), 3.0, id=f"e{i}")
+             for i in range(2)]
+    times = np.unique(rng.uniform(1e-3, 6.0, size=14))
+    longest = EventSequence(times, rng.integers(0, D, size=times.size), 6.0, id="long")
+    data = Dataset(seqs[:3] + empty + [longest] + seqs[3:], D)
     basis = BasisConfig(np.array([0.0, 0.8]), 0.4, 1.6)
-    feats = FeatureSet(data, basis)
-    mu = rng.uniform(0.3, 1.5, size=2)
-    a = rng.uniform(0.0, 0.4, size=(2, 2, 2))
-    p = HawkesParams(mu, a, basis)
-    direct = np.array([hawkes_loglik(p, s) for s in data.sequences])
-    assert np.allclose(feats.loglik_all(mu, a), direct, atol=1e-10)
-    idx = np.array([1, 3, 4])
-    assert np.allclose(feats.loglik_all(mu, a, idx), direct[idx], atol=1e-10)
-    assert feats.loglik_sum(mu, a, idx) == pytest.approx(direct[idx].sum())
+    mu = rng.uniform(0.3, 1.5, size=D)
+    a = rng.uniform(0.0, 0.4, size=(D, D, 2))
+    n = len(data.sequences)
+    subsets = {
+        "all": np.arange(n),
+        "without longest": np.array([0, 1, 2, 3, 6, 7, 8]),
+        "empty only": np.array([3, 4]),
+        "one": np.array([8]),
+    }
+    return data, basis, mu, a, subsets
+
+
+def test_featureset_matches_per_sequence_loglik():
+    for D in (1, 2, 3):
+        data, basis, mu, a, subsets = _subset_cases(D)
+        feats = FeatureSet(data, basis)
+        p = HawkesParams(mu, a, basis)
+        direct = np.array([hawkes_loglik(p, s) for s in data.sequences])
+        assert np.allclose(feats.loglik_all(mu, a), direct, atol=1e-10)
+        for name, idx in subsets.items():
+            got = feats.loglik_all(mu, a, idx)
+            assert np.allclose(got, direct[idx], atol=1e-10), (D, name)
+            assert feats.loglik_sum(mu, a, idx) == pytest.approx(direct[idx].sum())
 
 
 def test_featureset_gradient_matches_per_sequence():
-    rng = np.random.default_rng(12)
-    data = _random_dataset(rng)
-    basis = BasisConfig(np.array([0.0, 0.8]), 0.4, 1.6)
-    feats = FeatureSet(data, basis)
-    mu = rng.uniform(0.3, 1.5, size=2)
-    a = rng.uniform(0.0, 0.4, size=(2, 2, 2))
-    p = HawkesParams(mu, a, basis)
-    idx = np.array([0, 2, 5])
-    direct = sum(hawkes_loglik_grad(p, data.sequences[i])[1] for i in idx)
-    assert np.allclose(feats.grad_a(mu, a, idx), direct, atol=1e-10)
+    for D in (1, 2, 3):
+        data, basis, mu, a, subsets = _subset_cases(D)
+        feats = FeatureSet(data, basis)
+        p = HawkesParams(mu, a, basis)
+        for name, idx in subsets.items():
+            direct = sum(hawkes_loglik_grad(p, data.sequences[i])[1] for i in idx)
+            assert np.allclose(feats.grad_a(mu, a, idx), direct, atol=1e-10), (D, name)
 
 
 def test_featureset_event_term_consistency():
-    rng = np.random.default_rng(13)
-    data = _random_dataset(rng)
-    basis = BasisConfig(np.array([0.0, 0.8]), 0.4, 1.6)
-    feats = FeatureSet(data, basis)
-    mu = rng.uniform(0.3, 1.5, size=2)
-    a = rng.uniform(0.0, 0.4, size=(2, 2, 2))
-    idx = np.arange(len(data.sequences))
-    x = feats.excitation(a, idx)
-    ev = feats.event_term(mu, x, idx)
-    comp = feats.horizons[idx].sum() * mu.sum() + float(
-        np.einsum("dj,ndj->", a.sum(axis=0), feats.comp[idx])
-    )
-    assert ev - comp == pytest.approx(feats.loglik_sum(mu, a, idx), abs=1e-9)
+    for D in (1, 2, 3):
+        data, basis, mu, a, subsets = _subset_cases(D)
+        feats = FeatureSet(data, basis)
+        p = HawkesParams(mu, a, basis)
+        direct = np.array([hawkes_loglik(p, s) for s in data.sequences])
+        for name, idx in subsets.items():
+            x = feats.excitation(a, idx)
+            assert x.shape == (idx.size, feats.n_events[idx].max()), (D, name)
+            ev = feats.event_term(mu, x, idx)
+            comp = feats.horizons[idx].sum() * mu.sum() + float(
+                np.einsum("dj,ndj->", a.sum(axis=0), feats.comp[idx])
+            )
+            assert ev - comp == pytest.approx(feats.loglik_sum(mu, a, idx), abs=1e-9)
+            assert ev - comp == pytest.approx(direct[idx].sum(), abs=1e-9), (D, name)
 
 
 def test_featureset_windowed_path_matches_pairwise():

@@ -73,6 +73,11 @@ def test_simulate_requires_delta_for_graded_recipe(tmp_path, capsys):
                "--out", str(tmp_path / "x")])
     assert rc == 1
     assert "delta" in capsys.readouterr().err
+    for bad in ("nan", "inf", "-0.5"):
+        rc = main(["simulate", "--recipe", "hawkes-delta", "--k", "2", "--delta", bad,
+                   "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert f"delta must be a finite nonnegative number, got {float(bad)}" in capsys.readouterr().err
 
 
 def test_hybrid_recipe_default_horizon(tmp_path):
@@ -182,6 +187,9 @@ def test_fit_rejects_non_finite_times(tmp_path, capsys):
     ('{"seed": -1}', "config.seed"),
     ('{"seed": 1.5}', "config.seed"),
     ('{"eval_fraction": "0.1"}', "config.eval_fraction"),
+    ('{"basis": {"n_basis": 0}}', "config.basis"),
+    ('{"basis": {"tau_max": -1.0}}', "config.basis"),
+    ('{"basis": {"sigma": 0}}', "config.basis"),
 ])
 def test_fit_rejects_mistyped_config(tmp_path, capsys, text, key):
     cfg = tmp_path / "cfg.json"
@@ -200,6 +208,20 @@ def test_fit_rejects_non_integer_labels(tmp_path, capsys):
         assert main(["fit", "--data", str(path), "--out", str(tmp_path / "f")]) == 1
         err = capsys.readouterr().err
         assert f"{path}:2:" in err and "label must be an integer" in err
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("[1]", "not a JSON object"),
+    ('{"n_types": "x"}', "n_types must be a positive integer, got 'x'"),
+])
+def test_fit_rejects_malformed_sidecar(tmp_path, capsys, text, problem):
+    sim = _simulate(tmp_path)
+    sidecar = sim / "dataset.meta.json"
+    sidecar.write_text(text)
+    assert main(["fit", "--data", str(sim / "dataset.jsonl"), "--iterations", "4",
+                 "--burn-in", "2", "--out", str(tmp_path / "f")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: malformed metadata {sidecar}: {problem}"]
 
 
 def test_fit_input_error_paths(tmp_path, capsys):
@@ -345,6 +367,10 @@ def test_sweep_argument_validation(tmp_path, capsys):
     capsys.readouterr()
     assert main(["sweep", "--deltas", "0.5,abc", "--out", str(tmp_path / "s3")]) == 1
     assert "--deltas" in capsys.readouterr().err
+    for deltas, bad in (("0.5,nan", "nan"), ("inf", "inf"), ("0.5,-1", "-1.0")):
+        assert main(["sweep", "--deltas", deltas, "--out", str(tmp_path / "s4")]) == 1
+        err = capsys.readouterr().err
+        assert f"--deltas: delta must be a finite nonnegative number, got {bad}" in err
 
 
 # ---------------------------------------------------------------------------

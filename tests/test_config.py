@@ -53,9 +53,9 @@ VALID = {
     ("seed",): st.integers(0, 2**64),
     ("data.path",): _opt(st.text(max_size=8)),
     ("data.n_types",): _opt(st.integers()),
-    ("basis.n_basis",): st.integers(),
-    ("basis.tau_max",): _opt(_num()),
-    ("basis.sigma",): _opt(_num()),
+    ("basis.n_basis",): st.integers(1),
+    ("basis.tau_max",): _opt(_num(0, exclude_lo=True)),
+    ("basis.sigma",): _opt(_num(0, exclude_lo=True)),
     ("prior.beta_w",): _num(0, exclude_lo=True),
     ("prior.dpp.rho",): _opt(_num(0, exclude_lo=True)),
     ("prior.dpp.alpha",): _num(0, exclude_lo=True),

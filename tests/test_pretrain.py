@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from tppcluster.backbone import FeatureSet, HomogeneousPoisson
-from tppcluster.core import BasisConfig, ConfigError, Dataset, DppConfig, PriorBundle
+from tppcluster.backbone import FeatureSet, HomogeneousPoisson, hawkes_loglik_grad
+from tppcluster.core import BasisConfig, ConfigError, Dataset, DppConfig, HawkesParams, PriorBundle
 from tppcluster.dpp import model_for_data
 from tppcluster.metrics import purity
-from tppcluster.pretrain import PretrainConfig, pretrain_mixture
+from tppcluster.pretrain import PretrainConfig, _grads, pretrain_mixture
 from tppcluster.simulate import MixtureSpec, sample_mixture
 
 PRIOR = PriorBundle(beta_w=10.0, dpp=DppConfig())
@@ -43,6 +43,21 @@ def test_separated_clusters_are_found(tiny2):
     assert state.k == 2
     assert purity(state.c, labels) >= 0.99
     assert state.violations() == []
+
+
+def test_cluster_gradient_matches_per_sequence():
+    data = _poisson_data([1.5, 0.7], n=12)
+    basis = BasisConfig.for_data(data, n_basis=3)
+    features = FeatureSet(data, basis)
+    longest = int(np.argmax(features.n_events))
+    idx = np.array([i for i in range(0, len(data.sequences), 2) if i != longest])
+    assert features.n_events[idx].max() < features.n_events[longest]
+    rng = np.random.default_rng(3)
+    mu, a = rng.uniform(0.5, 1.5, size=2), rng.uniform(0.0, 0.3, size=(2, 2, 3))
+    gmu, ga = _grads(features, idx, mu, a)
+    per_seq = [hawkes_loglik_grad(HawkesParams(mu, a, basis), data.sequences[i]) for i in idx]
+    assert np.allclose(gmu, sum(g[0] for g in per_seq), rtol=0, atol=1e-10)
+    assert np.allclose(ga, sum(g[1] for g in per_seq), rtol=0, atol=1e-10)
 
 
 def test_zero_rounds_is_raw_initialisation():
