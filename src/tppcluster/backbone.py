@@ -68,18 +68,25 @@ def basis_integrals(basis: BasisConfig, s) -> np.ndarray:
 def hawkes_intensity(params: HawkesParams, times, types, t: float, d: int | None = None):
     """Conditional intensity at time ``t`` given the history strictly before it.
 
+    ``times`` is sorted ascending, as in every :class:`EventSequence` and the
+    simulator's history, so only the events in ``[t - tau_max, t)`` are read.
     Returns the (D,) per-type vector, or a scalar when ``d`` is given.
     """
     times = np.asarray(times, dtype=np.float64)
     types = np.asarray(types, dtype=np.int64)
-    past = times < t
+    tau = params.basis.tau_max
+    hi = times.searchsorted(t, side="left")  # times[:hi] is the strict past
+    lo = times.searchsorted(t - tau, side="left")
+    # t - x <= tau is monotone in x but may round differently from x >= t - tau
+    while lo > 0 and t - times[lo - 1] <= tau:
+        lo -= 1
     lam = params.mu.copy()
-    if np.any(past):
-        dts = t - times[past]
-        keep = dts <= params.basis.tau_max
-        if np.any(keep):
+    if lo < hi:
+        dts = t - times[lo:hi]
+        keep = dts <= tau
+        if keep.any():
             g = basis_values(params.basis, dts[keep])  # (n_past, n_basis)
-            src = types[past][keep]
+            src = types[lo:hi][keep]
             # sum_j a[:, src, j] * g[., j] for each past event
             lam = lam + np.einsum("dpj,pj->d", params.a[:, src, :], g)
     return lam if d is None else float(lam[d])
@@ -403,16 +410,14 @@ class HawkesModel:
         # peak bump value; every centre sits inside the support
         self._gmax = _INV_SQRT_2PI / params.basis.sigma
         self._colsum = params.a.sum(axis=(0, 2))  # (D,) total outgoing weight per source type
+        self._mu_total = params.mu.sum()
 
     def evaluate(self, t, times, types) -> np.ndarray:
         return hawkes_intensity(self.params, times, types, t)
 
     def upper_bound(self, t, times, types, until) -> float:
-        times = np.asarray(times, dtype=np.float64)
-        types = np.asarray(types, dtype=np.int64)
-        lo = np.searchsorted(times, t - self.params.basis.tau_max, side="right")
-        active = types[lo:]
-        return float(self.params.mu.sum() + self._gmax * self._colsum[active].sum())
+        lo = times.searchsorted(t - self.params.basis.tau_max, side="right")
+        return float(self._mu_total + self._gmax * self._colsum[types[lo:]].sum())
 
     def lookahead(self) -> float:
         return math.inf

@@ -93,6 +93,10 @@ class DataConfig:
     path: str | None = None
     n_types: int | None = None     # None: sidecar metadata, else the largest mark
 
+    def __post_init__(self):
+        if self.n_types is not None and self.n_types < 1:
+            raise ConfigError(f"n_types must be >= 1, got {self.n_types}")
+
 
 @dataclass(frozen=True)
 class BasisSpec:  # the arguments of BasisConfig.for_data
@@ -223,13 +227,19 @@ class FitResult:
     m_init: int
 
 
+_MAX_SHOWN = 5  # dataset violations listed in one error line
+
+
 def run_fit(data: Dataset, cfg: FitConfig) -> FitResult:
     """Full pipeline on an in-memory dataset: split, pretrain, sample."""
     problems = core.validate_dataset(data)
     if not problems and data.n_events == 0:
         problems.append("dataset contains no events")
     if problems:
-        raise ConfigError("invalid dataset: " + "; ".join(problems))
+        shown = problems[:_MAX_SHOWN]
+        if len(problems) > _MAX_SHOWN:
+            shown.append(f"… and {len(problems) - _MAX_SHOWN} more")
+        raise ConfigError("invalid dataset: " + "; ".join(shown))
     seeds = np.random.SeedSequence(cfg.seed).generate_state(4)
     n = len(data.sequences)
 
@@ -302,7 +312,16 @@ def read_trace(path) -> list[dict]:
 # commands
 
 
+def _check_sim_flags(args) -> None:
+    """Reject the ``--horizon`` and ``--n-per-cluster`` no dataset can be drawn with."""
+    if not (math.isfinite(args.horizon) and args.horizon > 0):
+        raise ConfigError(f"--horizon must be a finite positive number, got {args.horizon}")
+    if args.n_per_cluster < 1:
+        raise ConfigError(f"--n-per-cluster must be >= 1, got {args.n_per_cluster}")
+
+
 def cmd_simulate(args) -> int:
+    _check_sim_flags(args)
     out = _resolve_out(args.out)
     keys = ("recipe", "k", "n_per_cluster", "horizon", "delta", "seed")
     resolved = {key: getattr(args, key) for key in keys}
@@ -477,6 +496,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--deltas must list at least one value")
     if args.trials < 1:
         raise ConfigError("--trials must be >= 1")
+    _check_sim_flags(args)
     out = _resolve_out(args.out)
     overrides = _given({
         "eval_fraction": 0.0, "pretrain": {"m_init": [max(args.k - 1, 1), args.k + 1]},

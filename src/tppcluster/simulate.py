@@ -42,18 +42,22 @@ _MAX_EVENTS = 200_000
 
 def thinning_sample(model, horizon: float, rng: np.random.Generator,
                     id: str = "", label: int | None = None) -> EventSequence:
-    """Draw one sequence from an intensity model on (0, horizon] by thinning."""
-    if horizon < 0:
-        raise ConfigError(f"horizon must be nonnegative, got {horizon}")
-    times: list[float] = []
-    types: list[int] = []
+    """Draw one sequence from an intensity model on (0, horizon] by thinning.
+
+    The history lives in two buffers that double when full; the model sees
+    the accepted events as ascending ``[:n]`` views of them.
+    """
+    if not (math.isfinite(horizon) and horizon >= 0):
+        raise ConfigError(f"horizon must be a finite nonnegative number, got {horizon}")
+    times = np.empty(64)
+    types = np.empty(64, dtype=np.int64)
+    n = 0
+    t_arr, d_arr = times[:0], types[:0]
     t = 0.0
     while t < horizon:
         until = min(t + model.lookahead(), horizon)
-        t_arr = np.asarray(times, dtype=np.float64)
-        d_arr = np.asarray(types, dtype=np.int64)
         bound = model.upper_bound(t, t_arr, d_arr, until)
-        if not np.isfinite(bound) or bound < 0:
+        if not math.isfinite(bound) or bound < 0:
             raise NumericalError(f"dominating rate {bound} is not usable at t={t}")
         if bound == 0.0:
             if until >= horizon:
@@ -72,14 +76,19 @@ def thinning_sample(model, horizon: float, rng: np.random.Generator,
                 f"intensity {total} exceeded its dominating rate {bound} at t={t}"
             )
         if rng.random() * bound <= total:
-            cum = np.cumsum(lam)
-            d = int(np.searchsorted(cum, rng.random() * total, side="right"))
+            cum = lam.cumsum()
+            d = int(cum.searchsorted(rng.random() * total, side="right"))
             d = min(d, model.n_types - 1)
-            times.append(t)
-            types.append(d)
-            if len(times) > _MAX_EVENTS:
+            if n == times.size:
+                times = np.concatenate([times, np.empty_like(times)])
+                types = np.concatenate([types, np.empty_like(types)])
+            times[n] = t
+            types[n] = d
+            n += 1
+            if n > _MAX_EVENTS:
                 raise NumericalError("runaway simulation: event cap exceeded")
-    return EventSequence(np.asarray(times), np.asarray(types), horizon, id=id, label=label)
+            t_arr, d_arr = times[:n], types[:n]
+    return EventSequence(t_arr.copy(), d_arr.copy(), horizon, id=id, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -107,10 +116,14 @@ class MixtureSpec:
     def __post_init__(self):
         if not self.components:
             raise ConfigError("mixture needs at least one component")
-        if self.horizon <= 0:
-            raise ConfigError("mixture horizon must be positive")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ConfigError(f"mixture horizon must be finite and positive, got {self.horizon}")
         if (self.n_per_component is None) == (self.n_total is None):
             raise ConfigError("give exactly one of n_per_component / n_total")
+        for key in ("n_per_component", "n_total"):
+            val = getattr(self, key)
+            if val is not None and val < 1:
+                raise ConfigError(f"{key} must be >= 1, got {val}")
         if self.n_total is not None and self.weights is None:
             raise ConfigError("n_total requires mixture weights")
         if self.weights is not None:

@@ -16,6 +16,7 @@ from tppcluster.backbone import (
     FeatureSet,
     HomogeneousPoisson,
     basis_integrals,
+    basis_values,
     hawkes_compensator,
     hawkes_intensity,
     hawkes_loglik,
@@ -409,6 +410,80 @@ def hawkes_compensator_at(params, seq):
         return total
 
     return at
+
+
+# ---------------------------------------------------------------------------
+# reference simulator: the whole-history thinning loop the windowed one must
+# reproduce byte for byte
+
+
+def whole_history_intensity(params, times, types, t):
+    """Per-type intensity at ``t`` from a mask over the whole history: the
+    strict past, then lags within ``tau_max``, summed by one einsum."""
+    times = np.asarray(times, dtype=np.float64)
+    types = np.asarray(types, dtype=np.int64)
+    past = times < t
+    lam = params.mu.copy()
+    if np.any(past):
+        dts = t - times[past]
+        keep = dts <= params.basis.tau_max
+        if np.any(keep):
+            g = basis_values(params.basis, dts[keep])
+            src = types[past][keep]
+            lam = lam + np.einsum("dpj,pj->d", params.a[:, src, :], g)
+    return lam
+
+
+class WholeHistoryHawkes:
+    """A self-exciting simulation model that reads the whole history."""
+
+    def __init__(self, params):
+        self.params = params
+        self.n_types = params.n_types
+        self._gmax = (1.0 / math.sqrt(2.0 * math.pi)) / params.basis.sigma
+        self._colsum = params.a.sum(axis=(0, 2))
+
+    def evaluate(self, t, times, types):
+        return whole_history_intensity(self.params, times, types, t)
+
+    def upper_bound(self, t, times, types, until):
+        times = np.asarray(times, dtype=np.float64)
+        types = np.asarray(types, dtype=np.int64)
+        lo = np.searchsorted(times, t - self.params.basis.tau_max, side="right")
+        return float(self.params.mu.sum() + self._gmax * self._colsum[types[lo:]].sum())
+
+    def lookahead(self):
+        return math.inf
+
+
+def list_thinning_sample(model, horizon, rng):
+    """Thinning with the history kept in Python lists and copied into fresh
+    arrays for every candidate, without the error checks; returns (times, types)."""
+    times, types = [], []
+    t = 0.0
+    while t < horizon:
+        until = min(t + model.lookahead(), horizon)
+        t_arr = np.asarray(times, dtype=np.float64)
+        d_arr = np.asarray(types, dtype=np.int64)
+        bound = model.upper_bound(t, t_arr, d_arr, until)
+        if bound == 0.0:
+            if until >= horizon:
+                break
+            t = until
+            continue
+        gap = rng.exponential(1.0 / bound)
+        if t + gap > until:
+            t = until
+            continue
+        t = t + gap
+        lam = np.asarray(model.evaluate(t, t_arr, d_arr), dtype=np.float64)
+        total = float(lam.sum())
+        if rng.random() * bound <= total:
+            cum = np.cumsum(lam)
+            d = int(np.searchsorted(cum, rng.random() * total, side="right"))
+            times.append(t)
+            types.append(min(d, model.n_types - 1))
+    return np.asarray(times, dtype=np.float64), np.asarray(types, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 import helpers
@@ -82,6 +84,30 @@ def test_intensity_manual_two_events():
     assert hawkes_intensity(p, times, types, t, d=1) == pytest.approx(lam[1])
     # only the strict past counts
     assert np.allclose(hawkes_intensity(p, times, types, 1.0), [0.4, 0.6])
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_windowed_intensity_matches_whole_history(data):
+    """The windowed intensity keeps exactly the events of a whole-history mask,
+    in the same order, so the sums are equal, not merely close."""
+    D = data.draw(st.integers(1, 3), label="D")
+    nb = data.draw(st.integers(1, 3), label="n_basis")
+    tau = data.draw(st.floats(0.01, 5.0), label="tau_max")
+    centers = sorted(data.draw(st.lists(st.floats(0.0, tau), min_size=nb, max_size=nb)))
+    basis = BasisConfig(np.array(centers), data.draw(st.floats(0.05, 2.0)), tau)
+    t = data.draw(st.floats(0.0, 1e4), label="t")
+    lags = data.draw(st.lists(st.floats(-tau, 3.0 * tau), max_size=25), label="lags")
+    edges = [t, t - tau, np.nextafter(t - tau, -math.inf), np.nextafter(t - tau, math.inf)]
+    exact = data.draw(st.lists(st.sampled_from(edges), min_size=1, max_size=6), label="edges")
+    times = np.sort(np.array([t - lag for lag in lags] + exact, dtype=np.float64))
+    types = np.array(data.draw(st.lists(st.integers(0, D - 1), min_size=times.size,
+                                        max_size=times.size)), dtype=np.int64)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    params = HawkesParams(rng.uniform(0.1, 2.0, D), rng.uniform(0.0, 1.0, (D, D, nb)), basis)
+    lam = hawkes_intensity(params, times, types, t)
+    ref = helpers.whole_history_intensity(params, times, types, t)
+    assert lam.tobytes() == ref.tobytes()
 
 
 def test_poisson_closed_form():

@@ -80,6 +80,20 @@ def test_simulate_requires_delta_for_graded_recipe(tmp_path, capsys):
         assert f"delta must be a finite nonnegative number, got {float(bad)}" in capsys.readouterr().err
 
 
+def test_simulate_rejects_bad_horizon_and_cluster_size(tmp_path, capsys):
+    cases = [(["--horizon", h], f"--horizon must be a finite positive number, got {float(h)}")
+             for h in ("nan", "inf", "-1", "0")]
+    cases += [(["--n-per-cluster", n], f"--n-per-cluster must be >= 1, got {n}")
+              for n in ("-3", "0")]
+    for recipe in (["hawkes-delta", "--delta", "0.5"], ["hybrid"]):
+        for flags, message in cases:
+            out = tmp_path / "x"
+            rc = main(["simulate", "--recipe", *recipe, "--k", "3", *flags, "--out", str(out)])
+            assert rc == 1
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
+
 def test_hybrid_recipe_default_horizon(tmp_path):
     out = tmp_path / "hy"
     rc = main(["simulate", "--recipe", "hybrid", "--k", "3", "--n-per-cluster", "2",
@@ -190,14 +204,22 @@ def test_fit_rejects_non_finite_times(tmp_path, capsys):
     ('{"basis": {"n_basis": 0}}', "config.basis"),
     ('{"basis": {"tau_max": -1.0}}', "config.basis"),
     ('{"basis": {"sigma": 0}}', "config.basis"),
+    ('{"data": {"n_types": 0}}', "config.data: n_types must be >= 1, got"),
+    ('{"data": {"n_types": 2}}', "invalid dataset"),
 ])
 def test_fit_rejects_mistyped_config(tmp_path, capsys, text, key):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
-    assert main(["fit", "--data", "unused.jsonl", "--config", str(cfg),
+    data = tmp_path / "data.jsonl"  # eight sequences that each hold an event of type 3
+    data.write_text("".join(f'{{"id":"s{i}","T":5.0,"events":[{{"t":1.0,"d":3}}]}}\n'
+                            for i in range(8)))
+    assert main(["fit", "--data", str(data), "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and re.match(rf"error: {re.escape(key)}[ :]", err[0]), err
+    assert len(err[0]) < 500, err  # a long list of violations is cut short
+    if key == "invalid dataset":
+        assert err[0].endswith("; … and 3 more"), err
 
 
 def test_fit_rejects_non_integer_labels(tmp_path, capsys):
@@ -371,6 +393,12 @@ def test_sweep_argument_validation(tmp_path, capsys):
         assert main(["sweep", "--deltas", deltas, "--out", str(tmp_path / "s4")]) == 1
         err = capsys.readouterr().err
         assert f"--deltas: delta must be a finite nonnegative number, got {bad}" in err
+    for flag, bad in (("--horizon", "nan"), ("--horizon", "inf"),
+                      ("--n-per-cluster", "-3"), ("--n-per-cluster", "0")):
+        out = tmp_path / "s5"
+        assert main(["sweep", "--deltas", "0.5", flag, bad, "--out", str(out)]) == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()  # rejected before any cell runs
 
 
 # ---------------------------------------------------------------------------

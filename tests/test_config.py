@@ -52,7 +52,7 @@ def _lengths():
 VALID = {
     ("seed",): st.integers(0, 2**64),
     ("data.path",): _opt(st.text(max_size=8)),
-    ("data.n_types",): _opt(st.integers()),
+    ("data.n_types",): _opt(st.integers(1)),
     ("basis.n_basis",): st.integers(1),
     ("basis.tau_max",): _opt(_num(0, exclude_lo=True)),
     ("basis.sigma",): _opt(_num(0, exclude_lo=True)),

@@ -7,12 +7,16 @@ import pytest
 from scipy import stats
 
 import helpers
+from tppcluster import simulate
 from tppcluster.backbone import (
     HawkesModel,
     HomogeneousPoisson,
     SelfCorrecting,
+    SinusoidPoisson,
 )
+from tppcluster.cli import main
 from tppcluster.core import (
+    BasisConfig,
     ConfigError,
     HawkesParams,
     NumericalError,
@@ -52,8 +56,9 @@ def test_zero_horizon_yields_empty_sequence():
 
 
 def test_negative_horizon_rejected():
-    with pytest.raises(ConfigError):
-        thinning_sample(HomogeneousPoisson([1.0]), -1.0, np.random.default_rng(0))
+    for horizon in (-1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="horizon"):
+            thinning_sample(HomogeneousPoisson([1.0]), horizon, np.random.default_rng(0))
 
 
 class _LyingBound:
@@ -83,6 +88,51 @@ def test_violated_dominating_rate_raises():
 
 def test_simulation_is_deterministic():
     assert helpers.simulate_deterministic()
+
+
+@pytest.mark.parametrize("make_params, horizon, min_events", [
+    (lambda: HawkesParams(np.array([0.9]), np.array([[[0.4]]]), SIM_BASIS), 60.0, 50),
+    (lambda: HawkesParams(np.array([0.5, 0.8, 0.3]), np.full((3, 3, 1), 0.1), SIM_BASIS),
+     40.0, 50),
+    (lambda: HawkesParams(np.array([0.6, 0.4]),
+                          np.random.default_rng(3).uniform(0.0, 0.3, (2, 2, 3)),
+                          BasisConfig(np.array([0.2, 0.9, 1.7]), sigma=0.35, tau_max=2.0)),
+     50.0, 50),
+    (lambda: HawkesParams(np.array([1.5]), np.array([[[0.3]]]), SIM_BASIS), 600.0, 1025),
+], ids=["hawkes-d1", "hawkes-d3", "hawkes-multi-bump", "hawkes-long"])
+def test_windowed_hawkes_thinning_matches_whole_history(make_params, horizon, min_events):
+    params = make_params()
+    seq = thinning_sample(HawkesModel(params), horizon, np.random.default_rng(4))
+    times, types = helpers.list_thinning_sample(
+        helpers.WholeHistoryHawkes(params), horizon, np.random.default_rng(4)
+    )
+    assert seq.n_events >= min_events
+    assert seq.times.tobytes() == times.tobytes()
+    assert seq.types.tobytes() == types.tobytes()
+
+
+@pytest.mark.parametrize("model", [
+    HomogeneousPoisson([0.4, 1.1]),
+    SinusoidPoisson([1.8, 1.0], [1.6, 0.5], period=7.0),
+    SelfCorrecting(eta=1.0, gamma=0.5, n_types=3),
+], ids=["poisson", "sinusoid", "self-correcting"])
+def test_buffered_thinning_matches_list_history(model):
+    seq = thinning_sample(model, 60.0, np.random.default_rng(5))
+    times, types = helpers.list_thinning_sample(model, 60.0, np.random.default_rng(5))
+    assert seq.n_events > 50
+    assert seq.times.tobytes() == times.tobytes()
+    assert seq.types.tobytes() == types.tobytes()
+
+
+def test_event_cap_is_reached(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(simulate, "_MAX_EVENTS", 20_000)
+    params = HawkesParams(np.array([1.0]), np.array([[[0.2]]]), SIM_BASIS)
+    with pytest.raises(NumericalError, match="runaway simulation"):
+        thinning_sample(HawkesModel(params), 1e9, np.random.default_rng(0))
+    rc = main(["simulate", "--recipe", "hybrid", "--k", "3", "--n-per-cluster", "2",
+               "--horizon", "1e9", "--out", str(tmp_path / "runaway")])
+    assert rc == 2
+    assert "runaway simulation" in capsys.readouterr().err
 
 
 def test_graded_separation_recipe():
@@ -131,8 +181,14 @@ def test_mixture_spec_validation():
     a, b = HomogeneousPoisson([0.5]), HomogeneousPoisson([2.0])
     with pytest.raises(ConfigError):
         MixtureSpec([], horizon=3.0, n_per_component=2)
-    with pytest.raises(ConfigError):
-        MixtureSpec([a, b], horizon=0.0, n_per_component=2)
+    for horizon in (0.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="horizon"):
+            MixtureSpec([a, b], horizon=horizon, n_per_component=2)
+    for count in (0, -3):
+        with pytest.raises(ConfigError, match="n_per_component"):
+            MixtureSpec([a, b], horizon=3.0, n_per_component=count)
+        with pytest.raises(ConfigError, match="n_total"):
+            MixtureSpec([a, b], horizon=3.0, n_total=count, weights=[0.5, 0.5])
     with pytest.raises(ConfigError):
         MixtureSpec([a, b], horizon=3.0)  # neither count given
     with pytest.raises(ConfigError):
