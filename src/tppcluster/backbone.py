@@ -16,7 +16,6 @@ is assembled from those.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -30,8 +29,6 @@ __all__ = [
     "hawkes_compensator",
     "hawkes_loglik",
     "hawkes_loglik_grad",
-    "SequenceFeatures",
-    "sequence_features",
     "FeatureSet",
     "HomogeneousPoisson",
     "SinusoidPoisson",
@@ -65,6 +62,22 @@ def basis_integrals(basis: BasisConfig, s) -> np.ndarray:
     return hi - lo
 
 
+def _window(tau_max: float, times: np.ndarray, types: np.ndarray, t: float):
+    """Types and lags ``t - t_l`` of the events that excite ``t``: the strict
+    past with ``t - t_l <= tau_max``, in ascending time order.
+
+    ``times`` is sorted ascending, so only ``[t - tau_max, t)`` is read.
+    """
+    hi = times.searchsorted(t, side="left")  # times[:hi] is the strict past
+    lo = times.searchsorted(t - tau_max, side="left")
+    # t - x <= tau_max is monotone in x but may round differently from x >= t - tau_max
+    while lo > 0 and t - times[lo - 1] <= tau_max:
+        lo -= 1
+    dts = t - times[lo:hi]
+    keep = dts <= tau_max
+    return types[lo:hi][keep], dts[keep]
+
+
 def hawkes_intensity(params: HawkesParams, times, types, t: float, d: int | None = None):
     """Conditional intensity at time ``t`` given the history strictly before it.
 
@@ -74,21 +87,12 @@ def hawkes_intensity(params: HawkesParams, times, types, t: float, d: int | None
     """
     times = np.asarray(times, dtype=np.float64)
     types = np.asarray(types, dtype=np.int64)
-    tau = params.basis.tau_max
-    hi = times.searchsorted(t, side="left")  # times[:hi] is the strict past
-    lo = times.searchsorted(t - tau, side="left")
-    # t - x <= tau is monotone in x but may round differently from x >= t - tau
-    while lo > 0 and t - times[lo - 1] <= tau:
-        lo -= 1
+    src, dts = _window(params.basis.tau_max, times, types, t)
     lam = params.mu.copy()
-    if lo < hi:
-        dts = t - times[lo:hi]
-        keep = dts <= tau
-        if keep.any():
-            g = basis_values(params.basis, dts[keep])  # (n_past, n_basis)
-            src = types[lo:hi][keep]
-            # sum_j a[:, src, j] * g[., j] for each past event
-            lam = lam + np.einsum("dpj,pj->d", params.a[:, src, :], g)
+    if src.size:
+        g = basis_values(params.basis, dts)  # (n_past, n_basis)
+        # sum_j a[:, src, j] * g[., j] for each past event
+        lam = lam + np.einsum("dpj,pj->d", params.a[:, src, :], g)
     return lam if d is None else float(lam[d])
 
 
@@ -102,89 +106,55 @@ def hawkes_compensator(params: HawkesParams, seq: EventSequence) -> float:
     return total
 
 
-# ---------------------------------------------------------------------------
-# per-sequence feature summaries
-
-
-@dataclass
-class SequenceFeatures:
-    """Fixed likelihood summaries of one sequence under a given basis.
-
-    excite : (I, D, n_basis) accumulated bump values at each event from
-             strictly earlier events, split by source type
-    comp   : (D, n_basis) integrated bump mass per source type up to the horizon
-    """
-
-    types: np.ndarray
-    excite: np.ndarray
-    comp: np.ndarray
-    horizon: float
-
-    @property
-    def n_events(self) -> int:
-        return int(self.types.size)
-
-
-_PAIRWISE_LIMIT = 1024  # above this, build features with the windowed loop
-
-
-def sequence_features(seq: EventSequence, basis: BasisConfig, n_types: int) -> SequenceFeatures:
-    times, types = seq.times, seq.types
-    I = times.size
-    nb = basis.n_basis
-    excite = np.zeros((I, n_types, nb))
-    if I and I <= _PAIRWISE_LIMIT:
-        dt = times[:, None] - times[None, :]  # dt[i, l] = t_i - t_l
-        g = basis_values(basis, dt)  # (I, I, nb); zero outside (0, tau_max]
-        onehot = np.zeros((I, n_types))
-        onehot[np.arange(I), types] = 1.0
-        excite = np.einsum("ilj,ld->idj", g, onehot)
-    elif I:
-        for i in range(I):
-            lo = np.searchsorted(times, times[i] - basis.tau_max, side="left")
-            if lo == i:
-                continue
-            g = basis_values(basis, times[i] - times[lo:i])
-            np.add.at(excite[i], types[lo:i], g)
-    comp = np.zeros((n_types, nb))
-    if I:
-        G = basis_integrals(basis, seq.horizon - times)
-        np.add.at(comp, types, G)
-    return SequenceFeatures(types.copy(), excite, comp, seq.horizon)
-
-
-def _loglik_from_features(mu: np.ndarray, a: np.ndarray, f: SequenceFeatures) -> float:
-    lam = mu[f.types] + np.einsum("idj,idj->i", a[f.types], f.excite)
-    if np.any(lam <= 0):
-        return -math.inf
-    comp = f.horizon * float(mu.sum()) + float(np.einsum("dj,dj->", a.sum(axis=0), f.comp))
-    return float(np.log(lam).sum()) - comp
-
-
 def hawkes_loglik(params: HawkesParams, seq: EventSequence) -> float:
     """Exact log likelihood of one sequence: sum of event log-intensities
-    minus the compensator.  Returns -inf when some event has zero intensity."""
-    f = sequence_features(seq, params.basis, params.n_types)
-    return _loglik_from_features(params.mu, params.a, f)
+    minus the compensator.  Returns -inf when some event has zero intensity.
+
+    Scored event by event from :func:`hawkes_intensity`, so it shares no code
+    with :class:`FeatureSet` and serves as its oracle.
+    """
+    lam = np.array([hawkes_intensity(params, seq.times, seq.types, t, d)
+                    for t, d in zip(seq.times, seq.types)])
+    if np.any(lam <= 0):
+        return -math.inf
+    return float(np.log(lam).sum()) - hawkes_compensator(params, seq)
 
 
 def hawkes_loglik_grad(params: HawkesParams, seq: EventSequence):
-    """Gradient of :func:`hawkes_loglik` in ``(mu, a)``; shapes (D,), (D, D, n_basis)."""
-    D = params.n_types
-    f = sequence_features(seq, params.basis, D)
-    lam = params.mu[f.types] + np.einsum("idj,idj->i", params.a[f.types], f.excite)
-    if np.any(lam <= 0):
-        raise NumericalError("zero intensity at an observed event")
-    inv = 1.0 / lam
-    dmu = np.bincount(f.types, weights=inv, minlength=D) - f.horizon
-    da = np.zeros_like(params.a)
-    np.add.at(da, f.types, inv[:, None, None] * f.excite)
-    da -= f.comp[None, :, :]
+    """Gradient of :func:`hawkes_loglik` in ``(mu, a)``; shapes (D,), (D, D, n_basis).
+
+    Computed event by event on the window of :func:`hawkes_intensity`.
+    """
+    mu, a, basis = params.mu, params.a, params.basis
+    dmu = np.full(params.n_types, -seq.horizon)
+    da = np.zeros_like(a)
+    for t, d in zip(seq.times, seq.types):
+        src, dts = _window(basis.tau_max, seq.times, seq.types, t)
+        g = basis_values(basis, dts)
+        lam = mu[d] + float(np.sum(a[d, src] * g))
+        if lam <= 0:
+            raise NumericalError("zero intensity at an observed event")
+        dmu[d] += 1.0 / lam
+        np.add.at(da[d], src, g / lam)
+    if seq.n_events:
+        comp = np.zeros(a.shape[1:])  # (D, n_basis): integrated bump mass per source type
+        np.add.at(comp, seq.types, basis_integrals(basis, seq.horizon - seq.times))
+        da -= comp[None, :, :]
     return dmu, da
+
+
+# read only by the cost model in bench/kernels.py
+_PAIRWISE_LIMIT = 1024
 
 
 class FeatureSet:
     """Padded, batched feature summaries of a whole dataset.
+
+    ``excite[s, i, d, j]`` sums bump ``j`` over the earlier events of type
+    ``d`` within ``tau_max`` of event ``i`` of sequence ``s``, and
+    ``comp[s, d, j]`` the bump mass of its type-``d`` events up to the
+    horizon.  Both are built in one vectorised pass over every event of
+    every sequence, on the window rule of :func:`hawkes_intensity`.
 
     All heavy sampler arithmetic — likelihood columns over every sequence,
     minibatch gradients, base-rate proposal deltas — runs on these arrays.
@@ -196,30 +166,46 @@ class FeatureSet:
     """
 
     def __init__(self, data: Dataset, basis: BasisConfig):
-        self.basis = basis
-        self.n_types = data.n_types
-        feats = [sequence_features(s, basis, data.n_types) for s in data.sequences]
-        n = len(feats)
-        imax = max((f.n_events for f in feats), default=0)
-        imax = max(imax, 1)
-        D, nb = data.n_types, basis.n_basis
-        self.n = n
+        self.n_types = D = data.n_types
+        nb = basis.n_basis
+        seqs = data.sequences
+        n = len(seqs)
+        self.n_events = np.array([s.n_events for s in seqs], dtype=np.int64)
+        self.horizons = np.array([s.horizon for s in seqs], dtype=np.float64)
+        times = np.concatenate([s.times for s in seqs] + [np.zeros(0)])
+        types = np.concatenate([s.types for s in seqs] + [np.zeros(0, np.int64)])
+        # every event's sequence, position in it, and padded slot
+        seq = np.repeat(np.arange(n), self.n_events)
+        pos = np.arange(times.size) - (self.n_events.cumsum() - self.n_events)[seq]
+        imax = int(self.n_events.max(initial=1))
+        slot = seq * imax + pos
         self.types = np.zeros((n, imax), dtype=np.int64)
+        self.types.reshape(-1)[slot] = types
         self.mask = np.zeros((n, imax), dtype=bool)
-        self.excite = np.zeros((n, imax, D, nb))
-        self.comp = np.zeros((n, D, nb))
-        self.horizons = np.zeros(n)
-        for i, f in enumerate(feats):
-            m = f.n_events
-            self.types[i, :m] = f.types
-            self.mask[i, :m] = True
-            self.excite[i, :m] = f.excite
-            self.comp[i] = f.comp
-            self.horizons[i] = f.horizon
+        self.mask.reshape(-1)[slot] = True
         self.onehot = np.zeros((n, imax, D))
-        ii, jj = np.nonzero(self.mask)
-        self.onehot[ii, jj, self.types[ii, jj]] = 1.0
-        self.n_events = self.mask.sum(axis=1)
+        self.onehot.reshape(-1, D)[slot, types] = 1.0
+
+        # pairs (i, l = i - lag) with t_i - t_l <= tau_max, grown lag by lag;
+        # t_i - t_l never falls as the lag grows, so a dropped i has no longer pair
+        by_lag, i = [], np.arange(times.size)
+        while True:
+            lag = len(by_lag) + 1
+            i = i[pos[i] >= lag]
+            i = i[times[i] - times[i - lag] <= basis.tau_max]
+            if not i.size:
+                break
+            by_lag.append(i)
+        dst = np.concatenate(by_lag + [np.zeros(0, np.int64)])
+        src = dst - np.repeat(np.arange(1, len(by_lag) + 1), [b.size for b in by_lag])
+        order = np.lexsort((src, dst))  # each event sums its sources in ascending order
+        dst, src = dst[order], src[order]
+        self.excite = np.zeros((n, imax, D, nb))
+        np.add.at(self.excite.reshape(-1, nb), slot[dst] * D + types[src],
+                  basis_values(basis, times[dst] - times[src]))
+        self.comp = np.zeros((n, D, nb))
+        np.add.at(self.comp.reshape(-1, nb), seq * D + types,
+                  basis_integrals(basis, self.horizons[seq] - times))
 
     # -- per-event rates ------------------------------------------------------
 

@@ -117,6 +117,13 @@ class BasisSpec:  # the arguments of BasisConfig.for_data
 class FitPretrainConfig(PretrainConfig):
     m_init: int | tuple[int, int] = 4   # initial cluster count, or a [lo, hi] range drawn per fit
 
+    def __post_init__(self):
+        lo, hi = self.m_init if isinstance(self.m_init, tuple) else (self.m_init, self.m_init)
+        if not 1 <= lo <= hi:
+            raise ConfigError("m_init must be an integer >= 1 or [lo, hi] with 1 <= lo <= hi, "
+                              f"got {_to_json(self.m_init)}")
+        super().__post_init__()
+
 
 @dataclass(frozen=True)
 class FitSamplerConfig(SamplerConfig):
@@ -210,9 +217,9 @@ def _coerce(tp, val):
 
 
 def _draw_m_init(spec, rng: np.random.Generator) -> int:
+    """The initial cluster count: ``spec`` itself, or a draw from its [lo, hi]
+    range, which :class:`FitPretrainConfig` has checked."""
     if isinstance(spec, (list, tuple)):
-        if len(spec) != 2 or spec[0] > spec[1]:
-            raise ConfigError("m_init range must be [lo, hi] with lo <= hi")
         return int(rng.integers(int(spec[0]), int(spec[1]) + 1))
     return int(spec)
 
@@ -313,11 +320,16 @@ def read_trace(path) -> list[dict]:
 
 
 def _check_sim_flags(args) -> None:
-    """Reject the ``--horizon`` and ``--n-per-cluster`` no dataset can be drawn with."""
+    """Reject the ``--k``, ``--horizon``, ``--n-per-cluster`` and ``--seed`` no
+    dataset can be drawn with, before any output is written."""
+    if args.k < 1:
+        raise ConfigError(f"--k must be >= 1, got {args.k}")
     if not (math.isfinite(args.horizon) and args.horizon > 0):
         raise ConfigError(f"--horizon must be a finite positive number, got {args.horizon}")
     if args.n_per_cluster < 1:
         raise ConfigError(f"--n-per-cluster must be >= 1, got {args.n_per_cluster}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
 
 
 def cmd_simulate(args) -> int:

@@ -434,6 +434,23 @@ def whole_history_intensity(params, times, types, t):
     return lam
 
 
+def whole_history_features(data, basis):
+    """Padded ``(excite, comp)`` of ``data`` from the whole history: each event
+    adds the bump values of every earlier event of its sequence, in ascending
+    order (zero beyond ``tau_max``), and each event adds its integrated bump
+    mass to its sequence's compensator features."""
+    D, nb = data.n_types, basis.n_basis
+    imax = max([s.n_events for s in data.sequences] + [1])
+    excite = np.zeros((len(data.sequences), imax, D, nb))
+    comp = np.zeros((len(data.sequences), D, nb))
+    for s, seq in enumerate(data.sequences):
+        for i in range(seq.n_events):
+            g = basis_values(basis, seq.times[i] - seq.times[:i])  # (i, n_basis)
+            np.add.at(excite[s, i], seq.types[:i], g)
+        np.add.at(comp[s], seq.types, basis_integrals(basis, seq.horizon - seq.times))
+    return excite, comp
+
+
 class WholeHistoryHawkes:
     """A self-exciting simulation model that reads the whole history."""
 

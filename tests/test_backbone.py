@@ -260,22 +260,38 @@ def test_featureset_event_term_consistency():
             assert ev - comp == pytest.approx(direct[idx].sum(), abs=1e-9), (D, name)
 
 
-def test_featureset_windowed_path_matches_pairwise():
-    # force the windowed loop by monkeying the pairwise threshold
-    import tppcluster.backbone as bb
-
-    rng = np.random.default_rng(14)
-    data = _random_dataset(rng, n=4)
-    basis = BasisConfig(np.array([0.0, 0.8]), 0.4, 1.6)
-    dense = FeatureSet(data, basis)
-    old = bb._PAIRWISE_LIMIT
-    try:
-        bb._PAIRWISE_LIMIT = 0
-        windowed = FeatureSet(data, basis)
-    finally:
-        bb._PAIRWISE_LIMIT = old
-    assert np.allclose(dense.excite, windowed.excite, atol=1e-12)
-    assert np.allclose(dense.comp, windowed.comp, atol=1e-12)
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.data())
+def test_featureset_matches_whole_history_reference(data):
+    """The windowed store build gives the same bytes as summing every earlier
+    event, with one pair's lag at exactly tau_max and one ulp either side."""
+    D = data.draw(st.integers(1, 3), label="D")
+    nb = data.draw(st.integers(1, 3), label="n_basis")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    lag = data.draw(st.floats(0.05, 5.0), label="lag")
+    start = data.draw(st.floats(1e-3, 50.0), label="start")
+    seqs = []
+    for k in range(data.draw(st.integers(1, 4), label="n_seqs")):
+        horizon = start + 3.0 * lag
+        times = rng.uniform(0.0, horizon, size=data.draw(st.integers(0, 12)))
+        if k == 0:  # the boundary pair
+            times = np.append(times, [start, start + lag])
+        times = np.unique(times[times > 0])
+        seqs.append(EventSequence(times, rng.integers(0, D, times.size), horizon))
+    empty = EventSequence(np.array([]), np.array([], dtype=np.int64), 2.0)
+    seqs.insert(data.draw(st.integers(0, len(seqs)), label="empty at"), empty)
+    if data.draw(st.booleans(), label="long"):
+        times = np.unique(rng.uniform(1e-3, 300.0 * lag, size=1100))
+        seqs.append(EventSequence(times, rng.integers(0, D, times.size), 300.0 * lag))
+    dataset = Dataset(seqs, D)
+    exact = (start + lag) - start  # the boundary pair's lag as the store computes it
+    fractions = np.sort(rng.uniform(0.0, 1.0, nb))
+    for tau in (np.nextafter(exact, -math.inf), exact, np.nextafter(exact, math.inf)):
+        basis = BasisConfig(fractions * tau, data.draw(st.floats(0.05, 2.0)), tau)
+        feats = FeatureSet(dataset, basis)
+        excite, comp = helpers.whole_history_features(dataset, basis)
+        assert feats.excite.tobytes() == excite.tobytes()
+        assert feats.comp.tobytes() == comp.tobytes()
 
 
 # ---------------------------------------------------------------------------

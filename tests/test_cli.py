@@ -85,6 +85,8 @@ def test_simulate_rejects_bad_horizon_and_cluster_size(tmp_path, capsys):
              for h in ("nan", "inf", "-1", "0")]
     cases += [(["--n-per-cluster", n], f"--n-per-cluster must be >= 1, got {n}")
               for n in ("-3", "0")]
+    cases += [(["--k", k], f"--k must be >= 1, got {k}") for k in ("0", "-2")]
+    cases += [(["--seed", "-1"], "--seed must be >= 0, got -1")]
     for recipe in (["hawkes-delta", "--delta", "0.5"], ["hybrid"]):
         for flags, message in cases:
             out = tmp_path / "x"
@@ -198,6 +200,10 @@ def test_fit_rejects_non_finite_times(tmp_path, capsys):
     ('{"prior": "x"}', "config.prior"),
     ("[1, 2]", "config"),
     ('{"pretrain": {"m_init": [1, "x"]}}', "config.pretrain.m_init"),
+    ('{"pretrain": {"m_init": [0, 2]}}', "config.pretrain: m_init must be"),
+    ('{"pretrain": {"m_init": 0}}', "config.pretrain: m_init must be"),
+    ('{"pretrain": {"m_init": -2}}', "config.pretrain: m_init must be"),
+    ('{"pretrain": {"m_init": [5, 3]}}', "config.pretrain: m_init must be"),
     ('{"seed": -1}', "config.seed"),
     ('{"seed": 1.5}', "config.seed"),
     ('{"eval_fraction": "0.1"}', "config.eval_fraction"),
@@ -394,7 +400,8 @@ def test_sweep_argument_validation(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"--deltas: delta must be a finite nonnegative number, got {bad}" in err
     for flag, bad in (("--horizon", "nan"), ("--horizon", "inf"),
-                      ("--n-per-cluster", "-3"), ("--n-per-cluster", "0")):
+                      ("--n-per-cluster", "-3"), ("--n-per-cluster", "0"),
+                      ("--k", "0"), ("--k", "-2"), ("--seed", "-1")):
         out = tmp_path / "s5"
         assert main(["sweep", "--deltas", "0.5", flag, bad, "--out", str(out)]) == 1
         assert flag in capsys.readouterr().err
@@ -453,10 +460,10 @@ def test_draw_m_init():
     assert _draw_m_init(3, rng) == 3
     draws = {_draw_m_init([2, 4], rng) for _ in range(200)}
     assert draws == {2, 3, 4}
-    with pytest.raises(ConfigError):
-        _draw_m_init([4, 2], rng)
-    with pytest.raises(ConfigError):
-        _draw_m_init([1, 2, 3], rng)
+    # a malformed range is rejected when the config resolves, before any draw
+    for bad in ([4, 2], [1, 2, 3]):
+        with pytest.raises(ConfigError, match=r"^config\.pretrain"):
+            FitConfig.resolve(None, {"pretrain": {"m_init": bad}})
 
 
 def test_merge_semantics():

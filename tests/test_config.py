@@ -67,7 +67,8 @@ VALID = {
     ("prior.sgld.decay",): _num(0.5, 1.0, exclude_lo=True),
     ("prior.sgld.offset",): _num(0),
     ("prior.sgld.minibatch",): st.integers(1),
-    ("pretrain.m_init",): st.integers() | st.lists(st.integers(), min_size=2, max_size=2),
+    ("pretrain.m_init",): (st.integers(1)
+                           | st.lists(st.integers(1), min_size=2, max_size=2).map(sorted)),
     ("pretrain.rounds",): st.integers(0),
     ("pretrain.gd_steps",): st.integers(0),
     ("pretrain.learning_rate",): _num(0, exclude_lo=True),
