@@ -31,10 +31,9 @@ from .core import (
     write_jsonl,
 )
 from .dpp import build_spectral_model, dpp_log_density, dpp_log_ratio, model_for_data
-from .joint import state_log_joint
 from .metrics import EvalResult, ari, ell, m_summary, purity
 from .pretrain import PretrainConfig, pretrain_mixture
-from .sampler import PosteriorTrace, RunReport, SamplerConfig, psi_log, run_sampler
+from .sampler import PosteriorTrace, RunReport, SamplerConfig, psi_log, run_sampler, state_log_joint
 from .simulate import (
     MixtureSpec,
     SIM_BASIS,

@@ -436,16 +436,40 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _state_from_report(rep: dict) -> MixtureState:
-    m = rep.get("map")
-    if not m:
-        raise ConfigError("report has no point estimate (no stored samples)")
+def _state_from_report(rep: dict, n_types: int) -> MixtureState:
+    """The point estimate in a report's ``map`` section; KeyError, TypeError or
+    ValueError when it is not a valid state of ``n_types`` event types."""
+    m = rep["map"]
     basis = BasisConfig.from_dict(m["basis"])
-    alloc, spare = (
-        [core.Component(np.asarray(c["mu"]), np.asarray(c["w"]), float(c["r"])) for c in comps]
-        for comps in (m["components"], m.get("spare_components", []))
-    )
-    return MixtureState(alloc, spare, np.asarray(m["labels"], dtype=np.int64), m["u"], basis)
+
+    def component(d) -> core.Component:
+        comp = core.Component(np.asarray(d["mu"], dtype=np.float64),
+                              np.asarray(d["w"], dtype=np.float64), float(d["r"]))
+        if comp.mu.shape != (n_types,):
+            raise ValueError(f"component mu has shape {comp.mu.shape}, "
+                             f"the dataset has {n_types} event types")
+        comp.params(basis)  # checks the shape of w
+        return comp
+
+    state = MixtureState([component(d) for d in m["components"]],
+                         [component(d) for d in m.get("spare_components", [])],
+                         np.asarray(m["labels"], dtype=np.int64), float(m["u"]), basis)
+    bad = state.violations(len(rep["train_ids"]))
+    if bad:
+        raise ValueError("; ".join(bad))
+    return state
+
+
+def _score(state: MixtureState, train: Dataset, ell_data: Dataset | None,
+           k_mean: float, k_hist: dict) -> EvalResult:
+    """Purity and ARI of ``state``'s labels against ``train``'s (None when
+    unlabelled), and the ell of ``state`` on ``ell_data`` (None when not given)."""
+    truth = train.labels()
+    pur = ari_val = None
+    if truth is not None:
+        pur, ari_val = purity(state.c, truth), ari(state.c, truth)
+    ell_val = None if ell_data is None else ell(state, ell_data)
+    return EvalResult(pur, ari_val, ell_val, k_mean, k_hist)
 
 
 def cmd_eval(args) -> int:
@@ -454,32 +478,40 @@ def cmd_eval(args) -> int:
     needed = {"train_ids", "eval_ids", "k_mean", "k_hist"}
     if not isinstance(rep, dict) or not needed <= rep.keys():
         raise ConfigError(f"malformed report {rep_path}: not a fit report.json")
+    if not all(isinstance(ids, list) and all(type(sid) is str for sid in ids)
+               for ids in (rep["train_ids"], rep["eval_ids"])):
+        raise ConfigError(f"malformed report {rep_path}: "
+                          "train_ids and eval_ids must be lists of sequence ids")
     data = _load_dataset(args.data)
     by_id = {s.id: i for i, s in enumerate(data.sequences)}
     missing = [sid for sid in rep["train_ids"] + rep["eval_ids"] if sid not in by_id]
     if missing:
         raise ConfigError(f"dataset is missing sequences from the report: {missing[:5]}")
-    state = _state_from_report(rep)
+    if not rep.get("map"):
+        raise ConfigError("report has no point estimate (no stored samples)")
+    try:
+        state = _state_from_report(rep, data.n_types)
+        k_mean, k_hist = rep["k_mean"], rep["k_hist"]
+        if type(k_mean) not in (int, float):
+            raise TypeError(f"k_mean must be a number, got {k_mean!r}")
+        if not isinstance(k_hist, dict) or any(type(v) is not int for v in k_hist.values()):
+            raise TypeError(f"k_hist must map component counts to integers, got {k_hist!r}")
+        k_hist = {int(k): v for k, v in k_hist.items()}
+    except KeyError as exc:
+        raise ConfigError(f"malformed report {rep_path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed report {rep_path}: {exc}") from None
 
     train = data.subset([by_id[sid] for sid in rep["train_ids"]])
-    truth = train.labels()
-    pred = np.asarray(rep["map"]["labels"], dtype=np.int64)
-    pur = ari_val = None
-    if truth is not None:
-        pur = purity(pred, truth)
-        ari_val = ari(pred, truth)
-
-    ell_val = None
+    ell_data = None
     ell_on_train = False
     if rep["eval_ids"]:
-        eval_data = data.subset([by_id[sid] for sid in rep["eval_ids"]])
-        ell_val = ell(state, eval_data)
+        ell_data = data.subset([by_id[sid] for sid in rep["eval_ids"]])
     elif args.ell_on_train:
-        ell_val = ell(state, train)
+        ell_data = train
         ell_on_train = True
 
-    k_hist = {int(k): v for k, v in rep["k_hist"].items()}
-    res = EvalResult(pur, ari_val, ell_val, rep["k_mean"], k_hist)
+    res = _score(state, train, ell_data, k_mean, k_hist)
     out = _resolve_out(args.out)
     payload = res.to_dict()
     payload["ell_on_train"] = ell_on_train
@@ -487,11 +519,11 @@ def cmd_eval(args) -> int:
     (out / "metrics.csv").write_text(
         "purity,ari,ell,k_mean\n" + res.csv_row() + "\n", encoding="utf-8"
     )
-    bits = [f"k_mean={rep['k_mean']:.3f}"]
-    if pur is not None:
-        bits = [f"purity={pur:.4f}", f"ari={ari_val:.4f}"] + bits
-    if ell_val is not None:
-        bits.append(f"ell={ell_val:.4f}")
+    bits = [f"k_mean={res.k_mean:.3f}"]
+    if res.purity is not None:
+        bits = [f"purity={res.purity:.4f}", f"ari={res.ari:.4f}"] + bits
+    if res.ell is not None:
+        bits.append(f"ell={res.ell:.4f}")
     print("eval: " + "  ".join(bits))
     return 0
 
@@ -530,14 +562,11 @@ def cmd_sweep(args) -> int:
             cfg = FitConfig.resolve(None, {**overrides, "seed": fit_seed})
             result = run_fit(data, cfg)
             train = data.subset(result.train_idx)
-            truth = train.labels()
-            pred = result.report.map_labels
-            pur = purity(pred, truth)
-            ar = ari(pred, truth)
+            report = result.report
             # eval_fraction is 0, so ell is on the training split, as eval --ell-on-train
-            ell_val = ell(result.report.map_state, train)
-            vals.append((pur, ar))
-            rows.append(f"{delta},{trial},{pur!r},{ar!r},{ell_val!r},{result.report.k_mean!r}")
+            res = _score(report.map_state, train, train, report.k_mean, report.k_hist)
+            vals.append((res.purity, res.ari))
+            rows.append(f"{delta},{trial}," + res.csv_row())
             run_dir = out / f"delta_{delta}" / f"trial_{trial}"
             run_dir.mkdir(parents=True, exist_ok=True)
             _write_run(result, data, None, run_dir)

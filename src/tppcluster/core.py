@@ -323,6 +323,12 @@ class DppConfig:
             raise ConfigError("dpp box factors must satisfy lo_factor > 1, hi_factor >= 1")
         if (self.box_lo is None) != (self.box_hi is None):
             raise ConfigError("dpp box_lo and box_hi must be given together")
+        if self.box_lo is not None:
+            if len(self.box_lo) != len(self.box_hi):
+                raise ConfigError("dpp box_lo and box_hi must have equal lengths, "
+                                  f"got {len(self.box_lo)} and {len(self.box_hi)}")
+            if not all(0 < lo < hi for lo, hi in zip(self.box_lo, self.box_hi)):
+                raise ConfigError("dpp box must satisfy 0 < box_lo < box_hi per coordinate")
 
 
 @dataclass(frozen=True)

@@ -152,6 +152,9 @@ def model_for_data(data: Dataset, cfg: DppConfig, default_rho: float) -> DppSpec
     """
     q = data.n_types
     if cfg.box_lo is not None:
+        if len(cfg.box_lo) != q:
+            raise ConfigError(f"config.prior.dpp.box_lo has {len(cfg.box_lo)} coordinates, "
+                              f"the dataset has {q} event types")
         lo = np.asarray(cfg.box_lo, dtype=np.float64)
         hi = np.asarray(cfg.box_hi, dtype=np.float64)
     else:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
-from .backbone import FeatureSet
+from .backbone import FeatureSet, hawkes_loglik
 from .core import (
     Component,
     ConfigError,
@@ -41,6 +41,7 @@ from .core import (
     PriorBundle,
 )
 from .dpp import DppSpectralModel, dpp_log_density, dpp_log_ratio, model_for_data
+from .metrics import m_summary
 
 __all__ = [
     "SamplerConfig",
@@ -55,6 +56,7 @@ __all__ = [
     "sgld_update_w",
     "resample_allocations",
     "resample_u",
+    "state_log_joint",
     "run_sampler",
 ]
 
@@ -76,7 +78,7 @@ class SamplerConfig:
     p_birth: float = 0.5
     bd_attempts: int = 1          # birth/death proposals per sweep
     s_mu: float = 0.05            # base-rate random-walk scale, unit-cube units
-    stride: int = 1               # weight-seed sampler (testing aid)
+    stride: int = 1               # store every stride-th post-burn-in sweep
     seed: int = 0
     debug_checks: bool = False    # validate state invariants every sweep
 
@@ -335,17 +337,9 @@ class RunReport:
     no_samples: bool
 
     def to_dict(self) -> dict:
-        comps = []
-        spares = []
-        if self.map_state is not None:
-            comps = [
-                {"mu": c.mu.tolist(), "w": c.w.tolist(), "r": c.r}
-                for c in self.map_state.allocated
-            ]
-            spares = [
-                {"mu": c.mu.tolist(), "w": c.w.tolist(), "r": c.r}
-                for c in self.map_state.non_allocated
-            ]
+        def comps(cs):
+            return [{"mu": c.mu.tolist(), "w": c.w.tolist(), "r": c.r} for c in cs]
+
         return {
             "n_sequences": self.n_sequences,
             "iterations": self.iterations,
@@ -361,8 +355,8 @@ class RunReport:
                 "labels": self.map_labels.tolist(),
                 "u": self.map_state.u,
                 "basis": self.map_state.basis.to_dict(),
-                "components": comps,
-                "spare_components": spares,
+                "components": comps(self.map_state.allocated),
+                "spare_components": comps(self.map_state.non_allocated),
             },
             "dpp": self.dpp_summary,
             "wall_clock_sec": self.wall_clock_sec,
@@ -389,18 +383,45 @@ def _canonicalize(state: MixtureState) -> MixtureState:
     )
 
 
-def _fast_log_joint(state: MixtureState, ctx: FitContext, cols: np.ndarray) -> float:
-    """Log joint reusing cached likelihood columns (sampling hot path)."""
-    total = dpp_log_density(ctx.dpp_model, state.all_mu())
+def state_log_joint(state: MixtureState, data: Dataset, prior: PriorBundle,
+                    dpp_model: DppSpectralModel, cols: np.ndarray | None = None) -> float:
+    """Unnormalised log joint density of a full mixture state given ``data``
+    (up to one state-independent constant):
+
+        log p = log dpp(all mu)
+              + sum_alloc [ log p(w_m) + log p(r_m) + n_m log r_m ]
+              + sum_i log L(s_i | theta_{c_i})
+              + sum_non_alloc [ log p(w_m) + log p(r_m) ]
+              + (N - 1) log u - u * t - log (N-1)!        with t = sum of all r.
+
+    ``cols`` are the cached likelihood columns, ``(N, k + l)`` with the
+    allocated components first; without them each sequence is scored by
+    ``hawkes_loglik``, the independent reference.  Invalid states
+    (nonpositive weight seeds or ``u``, duplicated base-rate vectors, points
+    outside the prior box, ...) get -inf rather than raising, so Metropolis
+    ratios can treat them as auto-rejects.
+    """
+    n = len(data.sequences)
+    if state.c.size != n:
+        raise ValueError(f"state covers {state.c.size} sequences, dataset has {n}")
+    if not (state.u > 0 and np.isfinite(state.u)) or any(
+            comp.r <= 0 for comp in state.allocated + state.non_allocated):
+        return -math.inf
+    total = dpp_log_density(dpp_model, state.all_mu())
     if not np.isfinite(total):
         return -math.inf
     counts = state.counts()
-    n = ctx.n
     for m, comp in enumerate(state.allocated):
-        total += ctx.prior.w_log_prior(comp.w) - comp.r + counts[m] * math.log(comp.r)
-    total += float(cols[np.arange(n), state.c].sum())
+        total += prior.w_log_prior(comp.w) - comp.r + counts[m] * math.log(comp.r)
+    if cols is None:
+        params = [comp.params(state.basis) for comp in state.allocated]
+        loglik = np.array([hawkes_loglik(params[m], seq)
+                           for m, seq in zip(state.c, data.sequences)])
+    else:
+        loglik = cols[np.arange(n), state.c]
+    total += float(loglik.sum())
     for comp in state.non_allocated:
-        total += ctx.prior.w_log_prior(comp.w) - comp.r
+        total += prior.w_log_prior(comp.w) - comp.r
     t = state.t_total()
     total += (n - 1) * math.log(state.u) - state.u * t - float(gammaln(n))
     return float(total) if np.isfinite(total) else -math.inf
@@ -463,8 +484,7 @@ def run_sampler(data: Dataset, init: MixtureState, prior: PriorBundle,
                 )
 
         if sweep > config.burn_in and (sweep - config.burn_in - 1) % config.stride == 0:
-            cols = _component_columns(state, ctx)
-            lj = _fast_log_joint(state, ctx, cols)
+            lj = state_log_joint(state, data, prior, dpp_model, _component_columns(state, ctx))
             trace.iterations.append(sweep)
             trace.k.append(state.k)
             trace.l.append(state.l)
@@ -483,8 +503,11 @@ def run_sampler(data: Dataset, init: MixtureState, prior: PriorBundle,
             log.info("sweep %d/%d k=%d l=%d", sweep, config.iterations, state.k, state.l)
 
     wall = time.perf_counter() - t0
-    ks = trace.k_array()
-    hist = {int(v): int(cnt) for v, cnt in zip(*np.unique(ks, return_counts=True))} if len(ks) else {}
+    if len(trace):
+        k_mean, k_hist = m_summary(trace.k)
+        kl_mean = float((trace.k_array() + np.asarray(trace.l)).mean())
+    else:
+        k_mean, k_hist, kl_mean = math.nan, {}, math.nan
     rates = {
         name: (cnt[0] / cnt[1] if cnt[1] else None) for name, cnt in accept.items()
     }
@@ -492,9 +515,9 @@ def run_sampler(data: Dataset, init: MixtureState, prior: PriorBundle,
         n_sequences=len(data.sequences),
         iterations=config.iterations,
         burn_in=config.burn_in,
-        k_mean=float(ks.mean()) if len(ks) else math.nan,
-        k_hist=hist,
-        kl_mean=float((ks + np.asarray(trace.l)).mean()) if len(ks) else math.nan,
+        k_mean=k_mean,
+        k_hist=k_hist,
+        kl_mean=kl_mean,
         acceptance=rates,
         sgld_skipped=sgld_skipped,
         map_iteration=map_iter,

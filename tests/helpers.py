@@ -32,7 +32,6 @@ from tppcluster.core import (
     PriorBundle,
 )
 from tppcluster.dpp import build_spectral_model, dpp_log_density, dpp_log_ratio
-from tppcluster.joint import state_log_joint
 from tppcluster.metrics import ari
 from tppcluster.sampler import (
     FitContext,
@@ -42,6 +41,7 @@ from tppcluster.sampler import (
     resample_allocated_r,
     resample_allocations,
     resample_u,
+    state_log_joint,
     update_allocated_mu,
 )
 from tppcluster.simulate import build_hawkes_delta_dataset, thinning_sample
@@ -210,8 +210,9 @@ def mh_oracle_max_abs_diff(n_per_move=100, seed=4):
     worst = 0.0
 
     def joint(s):
-        return state_log_joint(s, ctx.data, ctx.prior, ctx.dpp_model,
-                               features=ctx.features)
+        cols = np.stack([ctx.features.loglik_all(c.mu, c.w)
+                         for c in s.allocated + s.non_allocated], axis=1)
+        return state_log_joint(s, ctx.data, ctx.prior, ctx.dpp_model, cols)
 
     def check(lhs, rhs):
         nonlocal worst

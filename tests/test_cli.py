@@ -1,5 +1,6 @@
 """End-to-end command-line workflows, run in process via main(argv)."""
 
+import copy
 import json
 import math
 import re
@@ -197,6 +198,13 @@ def test_fit_rejects_non_finite_times(tmp_path, capsys):
     ('{"prior": {"dpp": {"box_lo": 5, "box_hi": 6}}}', "config.prior.dpp.box_lo"),
     ('{"prior": {"dpp": {"lattice_radius": "2"}}}', "config.prior.dpp.lattice_radius"),
     ('{"prior": {"dpp": {"alpha": -1}}}', "config.prior.dpp"),
+    ('{"prior": {"dpp": {"box_lo": [0.1], "box_hi": [5.0]}}}', "config.prior.dpp.box_lo"),
+    ('{"prior": {"dpp": {"box_lo": [0.1, 0.1, 0.1], "box_hi": [5.0, 5.0]}}}',
+     "config.prior.dpp: dpp box_lo and box_hi must have equal"),
+    ('{"prior": {"dpp": {"box_lo": [0.1, 2.0, 0.1], "box_hi": [5.0, 1.0, 5.0]}}}',
+     "config.prior.dpp: dpp box must satisfy"),
+    ('{"prior": {"dpp": {"box_lo": [0.0, 0.1, 0.1], "box_hi": [5.0, 5.0, 5.0]}}}',
+     "config.prior.dpp: dpp box must satisfy"),
     ('{"prior": "x"}', "config.prior"),
     ("[1, 2]", "config"),
     ('{"pretrain": {"m_init": [1, "x"]}}', "config.pretrain.m_init"),
@@ -353,12 +361,29 @@ def test_eval_requires_matching_dataset(tmp_path, capsys):
                  "--data", str(sim / "dataset.jsonl"),
                  "--out", str(tmp_path / "ey")]) == 1
     capsys.readouterr()
-    for name, text in (("truncated.json", '{"train_ids": ['), ("list.json", "[]")):
+    rep = json.loads((fit / "report.json").read_text())
+    edits = {
+        "no_basis.json": lambda r: r["map"].pop("basis"),
+        "k_mean.json": lambda r: r.update(k_mean="x"),
+        "k_hist.json": lambda r: r.update(k_hist=[1]),
+        "short_mu.json": lambda r: r["map"]["components"][0].update(mu=[1.0]),
+        "short_w.json": lambda r: r["map"]["spare_components"].append(
+            {**r["map"]["components"][0], "w": [[[0.1]]]}),
+        "labels.json": lambda r: r["map"]["labels"].__setitem__(0, 99),
+        "train_ids.json": lambda r: r.update(train_ids=5),
+        "eval_ids.json": lambda r: r.update(eval_ids=[[1]]),
+    }
+    cases = [("truncated.json", '{"train_ids": ['), ("list.json", "[]")]
+    for name, edit in edits.items():
+        bad_rep = copy.deepcopy(rep)
+        edit(bad_rep)
+        cases.append((name, json.dumps(bad_rep)))
+    for name, text in cases:
         bad = tmp_path / name
         bad.write_text(text)
         assert main(["eval", "--report", str(bad), "--data", str(sim / "dataset.jsonl"),
                      "--out", str(tmp_path / "ez")]) == 1
-        assert f"malformed report {bad}" in capsys.readouterr().err
+        assert f"malformed report {bad}: " in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,10 @@ def _opt(strategy):
 
 
 def _box():
-    def vec(q):
-        return st.lists(_num(), min_size=q, max_size=q)
-    return st.just((None, None)) | st.integers(1, 4).flatmap(lambda q: st.tuples(vec(q), vec(q)))
+    bounds = st.tuples(_num(0, exclude_lo=True), _num(0, exclude_lo=True)).filter(
+        lambda b: b[0] < b[1])  # 0 < lo < hi per coordinate
+    return st.just((None, None)) | st.lists(bounds, min_size=1, max_size=4).map(
+        lambda pairs: tuple(map(list, zip(*pairs))))
 
 
 def _lengths():

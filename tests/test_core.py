@@ -24,7 +24,7 @@ from tppcluster.core import (
     write_jsonl,
 )
 from tppcluster.dpp import dpp_log_density, model_for_data
-from tppcluster.joint import state_log_joint
+from tppcluster.sampler import state_log_joint
 
 
 def _seq(times, types, horizon, **kw):
@@ -229,9 +229,10 @@ def test_log_joint_poisson_assembly():
     )
     got = state_log_joint(state, data, prior, model)
     assert got == pytest.approx(expected, abs=1e-12)
-    # fast path agrees with the per-sequence path
+    # the cached-column path agrees with the per-sequence path
     feats = FeatureSet(data, state.basis)
-    assert state_log_joint(state, data, prior, model, features=feats) == pytest.approx(got)
+    cols = feats.loglik_all(state.allocated[0].mu, state.allocated[0].w)[:, None]
+    assert state_log_joint(state, data, prior, model, cols=cols) == pytest.approx(got)
 
 
 def test_log_joint_invalid_states():

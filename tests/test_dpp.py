@@ -201,3 +201,7 @@ def test_dpp_config_validation():
         DppConfig(lo_factor=1.0)
     with pytest.raises(ConfigError):
         DppConfig(box_lo=(0.5, 0.5))  # missing the matching upper bound
+    with pytest.raises(ConfigError, match="equal lengths"):
+        DppConfig(box_lo=(0.5, 0.5), box_hi=(2.0,))
+    with pytest.raises(ConfigError, match="0 < box_lo < box_hi"):
+        DppConfig(box_lo=(0.5, 2.0), box_hi=(2.0, 1.0))

@@ -20,14 +20,12 @@ from tppcluster.core import (
     SgldSchedule,
 )
 from tppcluster.dpp import build_spectral_model, model_for_data
-from tppcluster.joint import state_log_joint
 from tppcluster.metrics import purity
 from tppcluster.pretrain import PretrainConfig, pretrain_mixture
 from tppcluster.sampler import (
     FitContext,
     SamplerConfig,
     _component_columns,
-    _fast_log_joint,
     birth_death_move,
     psi_log,
     refresh_non_allocated,
@@ -36,6 +34,7 @@ from tppcluster.sampler import (
     resample_u,
     run_sampler,
     sgld_update_w,
+    state_log_joint,
     update_allocated_mu,
 )
 from tppcluster.simulate import build_hawkes_delta_dataset
@@ -461,13 +460,13 @@ def test_run_sampler_rejects_invalid_initial_states():
         run_sampler(data, outside, prior, SamplerConfig(iterations=2, burn_in=0))
 
 
-def test_fast_log_joint_matches_reference():
+def test_cached_column_log_joint_matches_oracle():
     ctx, state = helpers._tiny_fit_context(3)
-    cols = _component_columns(state, ctx)
-    fast = _fast_log_joint(state, ctx, cols)
-    slow = state_log_joint(state, ctx.data, ctx.prior, ctx.dpp_model,
-                           features=ctx.features)
-    assert fast == pytest.approx(slow, abs=1e-8)
+    cached = state_log_joint(state, ctx.data, ctx.prior, ctx.dpp_model,
+                             _component_columns(state, ctx))
+    oracle = state_log_joint(state, ctx.data, ctx.prior, ctx.dpp_model)
+    assert math.isfinite(oracle)
+    assert cached == pytest.approx(oracle, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
