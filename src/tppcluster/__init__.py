@@ -11,7 +11,6 @@ from .backbone import (
     hawkes_intensity,
     hawkes_loglik,
     hawkes_loglik_grad,
-    sim_intensity,
 )
 from .core import (
     BasisConfig,

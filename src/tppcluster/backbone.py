@@ -34,7 +34,6 @@ __all__ = [
     "SinusoidPoisson",
     "SelfCorrecting",
     "HawkesModel",
-    "sim_intensity",
 ]
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -410,12 +409,3 @@ class HawkesModel:
 
     def describe(self) -> dict:
         return {"model": "hawkes", **self.params.to_dict()}
-
-
-def sim_intensity(model, t: float, times=(), types=()) -> float:
-    """Total event rate of a simulation model at ``t`` given a frozen history."""
-    lam = model.evaluate(t, np.asarray(times, dtype=np.float64), np.asarray(types, dtype=np.int64))
-    total = float(np.sum(lam))
-    if not np.isfinite(total) or total < 0:
-        raise NumericalError(f"invalid intensity {total} at t={t}")
-    return total

@@ -126,14 +126,6 @@ class FitPretrainConfig(PretrainConfig):
 
 
 @dataclass(frozen=True)
-class FitSamplerConfig(SamplerConfig):
-    def __post_init__(self):  # a fit reports the best stored sample, so it needs one
-        if self.iterations <= self.burn_in:
-            raise ConfigError("sampler iterations must exceed burn_in")
-        super().__post_init__()
-
-
-@dataclass(frozen=True)
 class FitConfig:
     """The resolved fit configuration."""
 
@@ -142,7 +134,7 @@ class FitConfig:
     basis: BasisSpec = field(default_factory=BasisSpec)
     prior: PriorBundle = field(default_factory=PriorBundle)
     pretrain: FitPretrainConfig = field(default_factory=FitPretrainConfig)
-    sampler: FitSamplerConfig = field(default_factory=FitSamplerConfig)
+    sampler: SamplerConfig = field(default_factory=SamplerConfig)
     eval_fraction: float = 0.2
 
     def __post_init__(self):
@@ -168,8 +160,8 @@ class FitConfig:
 
 
 # Fields of a section that run_fit sets itself (seeds derived from
-# config.seed, and the sampler's test aid); they are not config keys.
-_RUN_SET = ("seed", "debug_checks")
+# config.seed); they are not config keys.
+_RUN_SET = ("seed",)
 
 
 def _to_json(val):
@@ -423,14 +415,14 @@ def cmd_fit(args) -> int:
         raise ConfigError("no dataset given: pass --data or set data.path in the config")
 
     data = _load_dataset(cfg.data.path, cfg.data.n_types)
-    out = _resolve_out(args.out)
-    _write_json(cfg.raw, out / "resolved_config.json")
     result = run_fit(data, cfg)
+    out = _resolve_out(args.out)  # a rejected fit writes nothing
+    _write_json(cfg.raw, out / "resolved_config.json")
     _write_run(result, data, cfg.data.path, out)
     print(
         f"fit: {len(result.train_idx)} train sequences, "
         f"k_mean={result.report.k_mean:.3f}, "
-        f"MAP k={len(result.report.map_state.allocated) if result.report.map_state else 'n/a'}, "
+        f"MAP k={result.report.map_state.k}, "
         f"{result.report.wall_clock_sec:.1f}s -> {out}"
     )
     return 0
@@ -487,8 +479,6 @@ def cmd_eval(args) -> int:
     missing = [sid for sid in rep["train_ids"] + rep["eval_ids"] if sid not in by_id]
     if missing:
         raise ConfigError(f"dataset is missing sequences from the report: {missing[:5]}")
-    if not rep.get("map"):
-        raise ConfigError("report has no point estimate (no stored samples)")
     try:
         state = _state_from_report(rep, data.n_types)
         k_mean, k_hist = rep["k_mean"], rep["k_hist"]
@@ -541,11 +531,11 @@ def cmd_sweep(args) -> int:
     if args.trials < 1:
         raise ConfigError("--trials must be >= 1")
     _check_sim_flags(args)
-    out = _resolve_out(args.out)
-    overrides = _given({
+    cfg = FitConfig.resolve(None, _given({
         "eval_fraction": 0.0, "pretrain": {"m_init": [max(args.k - 1, 1), args.k + 1]},
         "sampler": {"iterations": args.iterations, "burn_in": args.burn_in},
-    })
+    }))
+    out = _resolve_out(args.out)
 
     rows = ["delta,trial,purity,ari,ell,k_mean"]
     summary = {}
@@ -559,8 +549,7 @@ def cmd_sweep(args) -> int:
                 args.k, delta, n_per_cluster=args.n_per_cluster,
                 horizon=args.horizon, seed=sim_seed,
             )
-            cfg = FitConfig.resolve(None, {**overrides, "seed": fit_seed})
-            result = run_fit(data, cfg)
+            result = run_fit(data, replace(cfg, seed=fit_seed))
             train = data.subset(result.train_idx)
             report = result.report
             # eval_fraction is 0, so ell is on the training split, as eval --ell-on-train

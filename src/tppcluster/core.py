@@ -247,23 +247,8 @@ class HawkesParams:
     def n_types(self) -> int:
         return int(self.mu.size)
 
-    def violations(self) -> list[str]:
-        out = []
-        if np.any(self.mu <= 0):
-            out.append("base rates must be strictly positive")
-        if np.any(self.a < 0):
-            out.append("triggering coefficients must be nonnegative")
-        if not (np.all(np.isfinite(self.mu)) and np.all(np.isfinite(self.a))):
-            out.append("parameters must be finite")
-        return out
-
     def to_dict(self) -> dict:
         return {"mu": self.mu.tolist(), "a": self.a.tolist(), "basis": self.basis.to_dict()}
-
-    @staticmethod
-    def from_dict(d: dict) -> "HawkesParams":
-        basis = BasisConfig.from_dict(d["basis"])
-        return HawkesParams(np.asarray(d["mu"]), np.asarray(d["a"]), basis)
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +398,6 @@ class MixtureState:
     def l(self) -> int:
         return len(self.non_allocated)
 
-    @property
-    def m_total(self) -> int:
-        return self.k + self.l
-
     def counts(self) -> np.ndarray:
         return np.bincount(self.c, minlength=self.k)
 
@@ -491,15 +472,28 @@ def write_jsonl(data: Dataset, path) -> None:
             fh.write(json.dumps(rec, **_JSON_KW) + "\n")
 
 
+_NUMBER = (int, float)  # the JSON number types; a JSON true is a bool, not an int
+
+
+def _typed(vals: list, kinds: tuple, what: str) -> list:
+    """``vals``, when every one has a type in ``kinds``; else ValueError."""
+    for val in vals:
+        if type(val) not in kinds:
+            raise ValueError(f"{what}, got {val!r}")
+    return vals
+
+
 def read_jsonl(path, n_types: int | None = None) -> Dataset:
     """Read a JSON-lines dataset.
 
-    When ``n_types`` is omitted the alphabet size is inferred as the largest
-    observed mark (a sidecar metadata file, when present, is the more robust
-    source and is handled by the CLI layer).
+    ``T`` and every ``t`` must be JSON numbers, every ``d`` a JSON integer,
+    and sequence ids unique.  When ``n_types`` is omitted the alphabet size
+    is inferred as the largest observed mark (a sidecar metadata file, when
+    present, is the more robust source and is handled by the CLI layer).
     """
     path = Path(path)
     sequences = []
+    first_line: dict[str, int] = {}
     max_d = 0
     with path.open("r", encoding="utf-8") as fh:
         for ln, line in enumerate(fh, start=1):
@@ -515,18 +509,22 @@ def read_jsonl(path, n_types: int | None = None) -> Dataset:
                 if label is not None and type(label) is not int:
                     raise ValueError(f"label must be an integer or null, got {label!r}")
                 events = rec.get("events", [])
-                times = np.array([ev["t"] for ev in events], dtype=np.float64)
-                types = np.array([int(ev["d"]) - 1 for ev in events], dtype=np.int64)
+                times = _typed([ev["t"] for ev in events], _NUMBER, "t must be a number")
+                marks = _typed([ev["d"] for ev in events], (int,), "d must be an integer")
                 seq = EventSequence(
-                    times,
-                    types,
-                    float(rec["T"]),
+                    np.array(times, dtype=np.float64),
+                    np.array(marks, dtype=np.int64) - 1,
+                    _typed([rec["T"]], _NUMBER, "T must be a number")[0],
                     id=str(rec.get("id", f"line-{ln}")),
                     label=label,
                 )
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise ConfigError(f"{path}:{ln}: bad record ({exc})") from None
-            if types.size:
-                max_d = max(max_d, int(types.max()) + 1)
+            if seq.id in first_line:
+                raise ConfigError(f"{path}:{ln}: duplicate sequence id {seq.id!r} "
+                                  f"(first on line {first_line[seq.id]})")
+            first_line[seq.id] = ln
+            if seq.n_events:
+                max_d = max(max_d, int(seq.types.max()) + 1)
             sequences.append(seq)
     return Dataset(sequences, n_types if n_types is not None else max(max_d, 1))

@@ -69,7 +69,7 @@ def ari(pred, truth) -> float:
     return float((sum_cells - expected) / (max_index - expected))
 
 
-def ell(state: MixtureState, data_eval: Dataset, features: FeatureSet | None = None) -> float:
+def ell(state: MixtureState, data_eval: Dataset) -> float:
     """Expected log likelihood per event of held-out sequences under the
     mixture point estimate.
 
@@ -82,8 +82,7 @@ def ell(state: MixtureState, data_eval: Dataset, features: FeatureSet | None = N
     n_events = data_eval.n_events
     if n_events == 0:
         raise ConfigError("evaluation split contains no events")
-    if features is None:
-        features = FeatureSet(data_eval, state.basis)
+    features = FeatureSet(data_eval, state.basis)
     comps = state.allocated + state.non_allocated
     r = np.array([c.r for c in comps])
     log_pi = np.log(r) - math.log(r.sum())

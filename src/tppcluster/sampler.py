@@ -22,7 +22,6 @@ small info record so tests can replay it against the full log joint.
 
 from __future__ import annotations
 
-import logging
 import math
 import time
 from dataclasses import dataclass, field
@@ -37,10 +36,9 @@ from .core import (
     Dataset,
     DegenerateModelError,
     MixtureState,
-    NumericalError,
     PriorBundle,
 )
-from .dpp import DppSpectralModel, dpp_log_density, dpp_log_ratio, model_for_data
+from .dpp import DppSpectralModel, dpp_log_density, dpp_log_ratio
 from .metrics import m_summary
 
 __all__ = [
@@ -60,8 +58,6 @@ __all__ = [
     "run_sampler",
 ]
 
-log = logging.getLogger(__name__)
-
 
 def psi_log(u: float) -> float:
     """log of int_0^inf e^(-u r) p(r) dr for the unit-rate exponential prior
@@ -80,11 +76,13 @@ class SamplerConfig:
     s_mu: float = 0.05            # base-rate random-walk scale, unit-cube units
     stride: int = 1               # store every stride-th post-burn-in sweep
     seed: int = 0
-    debug_checks: bool = False    # validate state invariants every sweep
 
     def __post_init__(self):
-        if self.iterations < 0 or self.burn_in < 0 or self.burn_in > self.iterations:
-            raise ConfigError("need 0 <= burn_in <= iterations")
+        # a fit reports the best stored sample, so it needs one
+        if self.iterations <= self.burn_in:
+            raise ConfigError("sampler iterations must exceed burn_in")
+        if self.burn_in < 0:
+            raise ConfigError("burn_in must be nonnegative")
         if not (0.0 < self.p_birth < 1.0):
             raise ConfigError("p_birth must lie strictly between 0 and 1")
         if self.bd_attempts < 0:
@@ -312,9 +310,6 @@ class PosteriorTrace:
     def __len__(self) -> int:
         return len(self.iterations)
 
-    def k_array(self) -> np.ndarray:
-        return np.asarray(self.k, dtype=np.int64)
-
 
 @dataclass
 class RunReport:
@@ -328,13 +323,12 @@ class RunReport:
     kl_mean: float
     acceptance: dict
     sgld_skipped: int
-    map_iteration: int | None
+    map_iteration: int
     map_log_joint: float
-    map_labels: np.ndarray | None
-    map_state: MixtureState | None
+    map_labels: np.ndarray
+    map_state: MixtureState
     dpp_summary: dict
     wall_clock_sec: float
-    no_samples: bool
 
     def to_dict(self) -> dict:
         def comps(cs):
@@ -349,7 +343,7 @@ class RunReport:
             "kl_mean": self.kl_mean,
             "acceptance": self.acceptance,
             "sgld_skipped": self.sgld_skipped,
-            "map": None if self.map_state is None else {
+            "map": {
                 "iteration": self.map_iteration,
                 "log_joint": self.map_log_joint,
                 "labels": self.map_labels.tolist(),
@@ -360,7 +354,6 @@ class RunReport:
             },
             "dpp": self.dpp_summary,
             "wall_clock_sec": self.wall_clock_sec,
-            "no_samples": self.no_samples,
         }
 
 
@@ -428,22 +421,16 @@ def state_log_joint(state: MixtureState, data: Dataset, prior: PriorBundle,
 
 
 def run_sampler(data: Dataset, init: MixtureState, prior: PriorBundle,
-                config: SamplerConfig, features: FeatureSet | None = None,
-                dpp_model: DppSpectralModel | None = None,
-                progress: bool = False):
+                config: SamplerConfig, features: FeatureSet, dpp_model: DppSpectralModel):
     """Run the full conditional sweep scheme; returns (trace, report).
 
     Iterations up to ``burn_in`` are discarded; afterwards every
     ``stride``-th sweep is stored, giving ceil((iterations - burn_in)/stride)
-    samples.  The maximum-log-joint stored sample is kept as the point
-    estimate.  All randomness flows through one generator seeded from
-    ``config.seed``, so runs are bit-reproducible.
+    samples, at least one.  The maximum-log-joint stored sample is kept as
+    the point estimate.  All randomness flows through one generator seeded
+    from ``config.seed``, so runs are bit-reproducible.
     """
     t0 = time.perf_counter()
-    if features is None:
-        features = FeatureSet(data, init.basis)
-    if dpp_model is None:
-        dpp_model = model_for_data(data, prior.dpp, default_rho=init.k)
     ctx = FitContext(data, features, prior, dpp_model, config)
     state = init.copy()
     bad = state.violations(len(data.sequences))
@@ -457,10 +444,7 @@ def run_sampler(data: Dataset, init: MixtureState, prior: PriorBundle,
     trace = PosteriorTrace()
     accept = {"birth": [0, 0], "death": [0, 0], "mu_walk": [0, 0]}
     sgld_skipped = 0
-    map_log_joint = -math.inf
     map_iter = None
-    map_labels = None
-    map_state = None
 
     for sweep in range(1, config.iterations + 1):
         for _ in range(config.bd_attempts):
@@ -476,12 +460,6 @@ def run_sampler(data: Dataset, init: MixtureState, prior: PriorBundle,
         sgld_skipped += sgld_update_w(state, ctx, sweep, rng)["skipped"]
         resample_allocations(state, ctx, rng)
         resample_u(state, ctx, rng)
-        if config.debug_checks:
-            bad = state.violations(len(data.sequences))
-            if bad:
-                raise NumericalError(
-                    f"state invariants broken at sweep {sweep}: " + "; ".join(bad)
-                )
 
         if sweep > config.burn_in and (sweep - config.burn_in - 1) % config.stride == 0:
             lj = state_log_joint(state, data, prior, dpp_model, _component_columns(state, ctx))
@@ -494,20 +472,15 @@ def run_sampler(data: Dataset, init: MixtureState, prior: PriorBundle,
                 {"mu": c.mu.tolist(), "r": c.r, "w_mean": float(c.w.mean())}
                 for c in state.allocated
             ])
-            if lj > map_log_joint:
+            if map_iter is None or lj > map_log_joint:
                 map_log_joint = lj
                 map_iter = sweep
                 map_labels = state.c.copy()
                 map_state = state.copy()
-        if progress and sweep % 100 == 0:
-            log.info("sweep %d/%d k=%d l=%d", sweep, config.iterations, state.k, state.l)
 
     wall = time.perf_counter() - t0
-    if len(trace):
-        k_mean, k_hist = m_summary(trace.k)
-        kl_mean = float((trace.k_array() + np.asarray(trace.l)).mean())
-    else:
-        k_mean, k_hist, kl_mean = math.nan, {}, math.nan
+    k_mean, k_hist = m_summary(trace.k)
+    kl_mean = float((np.asarray(trace.k) + np.asarray(trace.l)).mean())
     rates = {
         name: (cnt[0] / cnt[1] if cnt[1] else None) for name, cnt in accept.items()
     }
@@ -526,6 +499,5 @@ def run_sampler(data: Dataset, init: MixtureState, prior: PriorBundle,
         map_state=map_state,
         dpp_summary=dpp_model.describe(),
         wall_clock_sec=wall,
-        no_samples=len(trace) == 0,
     )
     return trace, report

@@ -34,7 +34,6 @@ __all__ = [
     "build_hawkes_delta_dataset",
     "build_hybrid_dataset",
     "write_metadata",
-    "read_metadata",
 ]
 
 _MAX_EVENTS = 200_000
@@ -101,15 +100,12 @@ class MixtureSpec:
 
     components      : one intensity model per cluster
     horizon         : shared observation window
-    n_per_component : exact sequence count per cluster (balanced design), or
-    weights + n_total : draw cluster labels from a categorical instead
+    n_per_component : exact sequence count per cluster (balanced design)
     """
 
     components: list
     horizon: float
-    n_per_component: int | None = None
-    weights: np.ndarray | None = None
-    n_total: int | None = None
+    n_per_component: int
     seed: int = 0
     metadata: dict = field(default_factory=dict)
 
@@ -118,19 +114,8 @@ class MixtureSpec:
             raise ConfigError("mixture needs at least one component")
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ConfigError(f"mixture horizon must be finite and positive, got {self.horizon}")
-        if (self.n_per_component is None) == (self.n_total is None):
-            raise ConfigError("give exactly one of n_per_component / n_total")
-        for key in ("n_per_component", "n_total"):
-            val = getattr(self, key)
-            if val is not None and val < 1:
-                raise ConfigError(f"{key} must be >= 1, got {val}")
-        if self.n_total is not None and self.weights is None:
-            raise ConfigError("n_total requires mixture weights")
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=np.float64)
-            if w.size != len(self.components) or np.any(w < 0) or w.sum() <= 0:
-                raise ConfigError("weights must be nonnegative, one per component")
-            self.weights = w / w.sum()
+        if self.n_per_component < 1:
+            raise ConfigError(f"n_per_component must be >= 1, got {self.n_per_component}")
         ds = {m.n_types for m in self.components}
         if len(ds) != 1:
             raise ConfigError("all mixture components must share one type alphabet")
@@ -140,11 +125,9 @@ def sample_mixture(spec: MixtureSpec) -> Dataset:
     """Generate a labelled dataset; per-sequence RNG substreams keep every
     sequence reproducible independently of the others."""
     root = np.random.SeedSequence(spec.seed)
-    if spec.n_per_component is not None:
-        labels = np.repeat(np.arange(len(spec.components)), spec.n_per_component)
-    else:
-        lab_rng = np.random.default_rng(root.spawn(1)[0])
-        labels = lab_rng.choice(len(spec.components), size=spec.n_total, p=spec.weights)
+    labels = np.repeat(np.arange(len(spec.components)), spec.n_per_component)
+    # sequence i draws from child i + 1: child 0 stays unused so that datasets
+    # simulated by earlier versions, which spent it on labels, keep their bytes
     streams = root.spawn(len(labels) + 1)[1:]
     width = max(4, len(str(max(len(labels) - 1, 1))))
     sequences = []
@@ -173,25 +156,24 @@ def sample_mixture(spec: MixtureSpec) -> Dataset:
 SIM_BASIS = BasisConfig(centers=np.array([0.0]), sigma=1.0, tau_max=3.0)
 
 
-def _uniform_hawkes(mu_value, a_value: float, n_types: int,
-                    basis: BasisConfig = SIM_BASIS) -> HawkesModel:
-    mu = np.full(n_types, float(mu_value)) if np.isscalar(mu_value) else np.asarray(mu_value)
-    a = np.full((n_types, n_types, basis.n_basis), float(a_value))
-    return HawkesModel(HawkesParams(mu, a, basis))
+def _uniform_hawkes(mu: float, coef: float, n_types: int) -> HawkesModel:
+    """Base rate ``mu`` for every type, every coefficient ``coef``, on SIM_BASIS."""
+    a = np.full((n_types, n_types, SIM_BASIS.n_basis), float(coef))
+    return HawkesModel(HawkesParams(np.full(n_types, float(mu)), a, SIM_BASIS))
 
 
 def build_hawkes_delta_dataset(k_clusters: int, delta: float, n_per_cluster: int = 100,
                                horizon: float = 10.0, seed: int = 0,
-                               n_types: int = 3, a_value: float = 0.1) -> Dataset:
+                               n_types: int = 3) -> Dataset:
     """Graded-separation benchmark: ``k`` self-exciting clusters whose base
     rates are (0.5 + delta * m) per type, m = 0..k-1, sharing one triggering
-    kernel.  Larger ``delta`` spreads the clusters apart."""
+    kernel (coefficient 0.1).  Larger ``delta`` spreads the clusters apart."""
     if k_clusters < 1:
         raise ConfigError("k_clusters must be >= 1")
     if not (math.isfinite(delta) and delta >= 0):
         raise ConfigError(f"delta must be a finite nonnegative number, got {delta}")
     comps = [
-        _uniform_hawkes(0.5 + delta * m, a_value, n_types)
+        _uniform_hawkes(0.5 + delta * m, 0.1, n_types)
         for m in range(k_clusters)
     ]
     spec = MixtureSpec(
@@ -240,7 +222,3 @@ def build_hybrid_dataset(k_clusters: int, n_per_cluster: int = 100, horizon: flo
 def write_metadata(data: Dataset, path) -> None:
     rec = {"n_types": data.n_types, "n_sequences": len(data.sequences), **data.metadata}
     Path(path).write_text(json.dumps(rec, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def read_metadata(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))

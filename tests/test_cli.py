@@ -227,8 +227,9 @@ def test_fit_rejects_mistyped_config(tmp_path, capsys, text, key):
     data = tmp_path / "data.jsonl"  # eight sequences that each hold an event of type 3
     data.write_text("".join(f'{{"id":"s{i}","T":5.0,"events":[{{"t":1.0,"d":3}}]}}\n'
                             for i in range(8)))
-    assert main(["fit", "--data", str(data), "--config", str(cfg),
-                 "--out", str(tmp_path / "out")]) == 1
+    out = tmp_path / "out"
+    assert main(["fit", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()  # a rejected fit writes nothing, resolved_config.json included
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and re.match(rf"error: {re.escape(key)}[ :]", err[0]), err
     assert len(err[0]) < 500, err  # a long list of violations is cut short
@@ -384,6 +385,16 @@ def test_eval_requires_matching_dataset(tmp_path, capsys):
         assert main(["eval", "--report", str(bad), "--data", str(sim / "dataset.jsonl"),
                      "--out", str(tmp_path / "ez")]) == 1
         assert f"malformed report {bad}: " in capsys.readouterr().err
+    # a dataset with a repeated id would score one sequence twice and another never
+    lines = (sim / "dataset.jsonl").read_text().splitlines()
+    lines[5] = lines[5].replace('"seq-0005"', '"seq-0000"')
+    dup = tmp_path / "dup.jsonl"
+    dup.write_text("\n".join(lines) + "\n")
+    assert main(["eval", "--report", str(fit / "report.json"), "--data", str(dup),
+                 "--out", str(tmp_path / "ed")]) == 1
+    assert (f"error: {dup}:6: duplicate sequence id 'seq-0000' (first on line 1)"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "ed").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +442,11 @@ def test_sweep_argument_validation(tmp_path, capsys):
         assert main(["sweep", "--deltas", "0.5", flag, bad, "--out", str(out)]) == 1
         assert flag in capsys.readouterr().err
         assert not out.exists()  # rejected before any cell runs
+    out = tmp_path / "s6"
+    assert main(["sweep", "--deltas", "0.5", "--iterations", "5", "--burn-in", "10",
+                 "--out", str(out)]) == 1
+    assert "config.sampler: sampler iterations must exceed burn_in" in capsys.readouterr().err
+    assert not out.exists()  # the fit config is resolved before any output
 
 
 # ---------------------------------------------------------------------------

@@ -114,11 +114,9 @@ def test_params_shape_check_and_round_trip():
     with pytest.raises(ConfigError):
         HawkesParams(np.ones(2), np.zeros((2, 2, 3)), basis)
     p = HawkesParams(np.array([0.5, 1.5]), np.full((2, 2, 1), 0.1), basis)
-    assert p.violations() == []
-    p2 = HawkesParams.from_dict(json.loads(json.dumps(p.to_dict())))
+    d = json.loads(json.dumps(p.to_dict()))
+    p2 = HawkesParams(np.asarray(d["mu"]), np.asarray(d["a"]), BasisConfig.from_dict(d["basis"]))
     assert np.array_equal(p.mu, p2.mu) and np.array_equal(p.a, p2.a)
-    bad = HawkesParams(np.array([0.0, 1.0]), np.full((2, 2, 1), -0.1), basis)
-    assert len(bad.violations()) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +167,7 @@ def _simple_state(u=1.0):
 
 def test_state_accessors():
     st = _simple_state()
-    assert (st.k, st.l, st.m_total) == (2, 1, 3)
+    assert (st.k, st.l) == (2, 1)
     assert st.counts().tolist() == [2, 1]
     assert st.t_total() == pytest.approx(3.5)
     assert st.all_mu().shape == (3, 1)
@@ -320,4 +318,23 @@ def test_jsonl_malformed(tmp_path):
         read_jsonl(p)
     p.write_text('{"id":"x","events":[]}\n', encoding="utf-8")  # missing T
     with pytest.raises(ConfigError):
+        read_jsonl(p)
+    ok = '{"id":"a","T":10,"events":[{"t":1,"d":1}]}'  # integer times stay valid
+    p.write_text(ok + "\n", encoding="utf-8")
+    assert read_jsonl(p).sequences[0].horizon == 10.0
+    for rec, why in (
+        ('{"id":"a","T":3.0,"events":[{"t":1.0,"d":1.7}]}', "d must be an integer"),
+        ('{"id":"a","T":3.0,"events":[{"t":1.0,"d":true}]}', "d must be an integer"),
+        ('{"id":"a","T":3.0,"events":[{"t":"0.366","d":1}]}', "t must be a number"),
+        ('{"id":"a","T":3.0,"events":[{"t":false,"d":1}]}', "t must be a number"),
+        ('{"id":"a","T":"10","events":[]}', "T must be a number"),
+        ('{"id":"a","T":null,"events":[]}', "T must be a number"),
+    ):
+        p.write_text(ok + "\n" + rec + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"bad.jsonl:2: bad record \\({why}"):
+            read_jsonl(p)
+    b = '{"id":"b","T":3.0,"events":[]}'
+    p.write_text("\n".join([ok, b, ok]) + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError,
+                       match=r"bad.jsonl:3: duplicate sequence id 'a' \(first on line 1\)"):
         read_jsonl(p)

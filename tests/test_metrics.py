@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import helpers
-from tppcluster.backbone import FeatureSet
 from tppcluster.core import (
     BasisConfig,
     Component,
@@ -146,15 +145,6 @@ def test_ell_validation():
     empty = EventSequence(np.array([]), np.array([]), 2.0)
     with pytest.raises(ConfigError):
         ell(state, Dataset([empty, empty], 1))
-
-
-def test_ell_accepts_prebuilt_features():
-    lam = 1.1
-    seq = EventSequence(np.array([0.4, 0.9]), np.array([0, 0]), 2.0)
-    data = Dataset([seq], 1)
-    state = _poisson_state([lam])
-    features = FeatureSet(data, state.basis)
-    assert ell(state, data, features=features) == pytest.approx(ell(state, data))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from tppcluster.pretrain import PretrainConfig, pretrain_mixture
 from tppcluster.sampler import (
     FitContext,
     SamplerConfig,
+    _canonicalize,
     _component_columns,
     birth_death_move,
     psi_log,
@@ -73,6 +74,10 @@ def test_sampler_config_validation():
     assert cfg.iterations == 500 and cfg.burn_in == 200
     with pytest.raises(ConfigError):
         SamplerConfig(iterations=10, burn_in=11)
+    with pytest.raises(ConfigError, match="exceed burn_in"):
+        SamplerConfig(iterations=6, burn_in=6)  # a run stores at least one sample
+    with pytest.raises(ConfigError):
+        SamplerConfig(iterations=6, burn_in=-1)
     with pytest.raises(ConfigError):
         SamplerConfig(p_birth=0.0)
     with pytest.raises(ConfigError):
@@ -362,49 +367,53 @@ def _driver_setup(seed=0, n_per_cluster=5, delta=0.9):
     dpp_model = model_for_data(data, prior.dpp, default_rho=2)
     init = pretrain_mixture(data, 2, PretrainConfig(seed=seed), prior, basis,
                             dpp_model=dpp_model)
-    return data, init, prior
+    return data, init, prior, FeatureSet(data, basis), dpp_model
 
 
 @pytest.mark.parametrize("iterations,burn_in,stride,expect", [
     (7, 3, 2, [4, 6]),
     (10, 0, 3, [1, 4, 7, 10]),
-    (6, 6, 1, []),
 ])
 def test_trace_storage_schedule(iterations, burn_in, stride, expect):
-    data, init, prior = _driver_setup()
+    data, init, prior, *fit = _driver_setup()
     cfg = SamplerConfig(iterations=iterations, burn_in=burn_in, stride=stride, seed=2)
-    trace, report = run_sampler(data, init, prior, cfg)
+    trace, _ = run_sampler(data, init, prior, cfg, *fit)
     assert trace.iterations == expect
     assert len(trace) == math.ceil((iterations - burn_in) / stride)
-    assert report.no_samples == (len(expect) == 0)
-
-
-def test_empty_trace_report():
-    data, init, prior = _driver_setup()
-    cfg = SamplerConfig(iterations=4, burn_in=4, seed=3)
-    trace, report = run_sampler(data, init, prior, cfg)
-    assert len(trace) == 0
-    assert report.no_samples
-    assert math.isnan(report.k_mean)
-    d = report.to_dict()
-    assert d["map"] is None
-    json.dumps(d)  # nan-free everywhere except the documented summary fields
 
 
 def test_repeat_runs_are_bit_identical():
-    data, init, prior = _driver_setup()
-    cfg = SamplerConfig(iterations=30, burn_in=10, seed=4, debug_checks=True)
-    t1, r1 = run_sampler(data, init, prior, cfg)
-    t2, r2 = run_sampler(data, init, prior, cfg)
+    data, init, prior, features, dpp_model = _driver_setup()
+    cfg = SamplerConfig(iterations=30, burn_in=10, seed=4)
+    t1, r1 = run_sampler(data, init, prior, cfg, features, dpp_model)
+    t2, r2 = run_sampler(data, init, prior, cfg, features, dpp_model)
     assert t1.log_joint == t2.log_joint
     assert t1.k == t2.k and t1.l == t2.l
     assert all(np.array_equal(a, b) for a, b in zip(t1.labels, t2.labels))
     assert r1.acceptance == r2.acceptance
     assert r1.map_log_joint == r2.map_log_joint
+    # the same chain driven move by move, in run_sampler's order: the state
+    # invariants hold after every sweep
+    ctx = FitContext(data, features, prior, dpp_model, cfg)
+    state = _canonicalize(init.copy())
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    for sweep in range(1, cfg.iterations + 1):
+        for _ in range(cfg.bd_attempts):
+            birth_death_move(state, ctx, rng)
+        refresh_non_allocated(state, ctx, rng)
+        update_allocated_mu(state, ctx, rng)
+        resample_allocated_r(state, rng)
+        sgld_update_w(state, ctx, sweep, rng)
+        resample_allocations(state, ctx, rng)
+        resample_u(state, ctx, rng)
+        assert state.violations(len(data.sequences)) == []
+        if sweep > cfg.burn_in:
+            stored = sweep - cfg.burn_in - 1
+            assert state.k == t1.k[stored] and np.array_equal(state.c, t1.labels[stored])
 
 
 def test_component_relabeling_does_not_change_the_chain():
-    data, init, prior = _driver_setup()
+    data, init, prior, *fit = _driver_setup()
     assert init.k == 2
     swapped = MixtureState(
         [init.allocated[1].copy(), init.allocated[0].copy()],
@@ -414,17 +423,17 @@ def test_component_relabeling_does_not_change_the_chain():
         init.basis,
     )
     cfg = SamplerConfig(iterations=25, burn_in=5, seed=5)
-    t1, _ = run_sampler(data, init, prior, cfg)
-    t2, _ = run_sampler(data, swapped, prior, cfg)
+    t1, _ = run_sampler(data, init, prior, cfg, *fit)
+    t2, _ = run_sampler(data, swapped, prior, cfg, *fit)
     assert t1.log_joint == t2.log_joint
     assert t1.k == t2.k
     assert all(np.array_equal(a, b) for a, b in zip(t1.labels, t2.labels))
 
 
 def test_map_is_the_best_stored_sample():
-    data, init, prior = _driver_setup()
+    data, init, prior, *fit = _driver_setup()
     cfg = SamplerConfig(iterations=40, burn_in=10, seed=6)
-    trace, report = run_sampler(data, init, prior, cfg)
+    trace, report = run_sampler(data, init, prior, cfg, *fit)
     best = int(np.argmax(trace.log_joint))
     assert report.map_log_joint == trace.log_joint[best]
     assert report.map_iteration == trace.iterations[best]
@@ -438,9 +447,9 @@ def test_map_is_the_best_stored_sample():
 
 
 def test_stored_components_follow_the_state():
-    data, init, prior = _driver_setup()
+    data, init, prior, *fit = _driver_setup()
     cfg = SamplerConfig(iterations=12, burn_in=2, seed=7)
-    trace, _ = run_sampler(data, init, prior, cfg)
+    trace, _ = run_sampler(data, init, prior, cfg, *fit)
     for k, comps in zip(trace.k, trace.components):
         assert len(comps) == k
         for c in comps:
@@ -449,15 +458,15 @@ def test_stored_components_follow_the_state():
 
 
 def test_run_sampler_rejects_invalid_initial_states():
-    data, init, prior = _driver_setup()
+    data, init, prior, *fit = _driver_setup()
     bad = init.copy()
     bad.c[0] = 99  # label outside the component range
     with pytest.raises(ConfigError):
-        run_sampler(data, bad, prior, SamplerConfig(iterations=2, burn_in=0))
+        run_sampler(data, bad, prior, SamplerConfig(iterations=2, burn_in=0), *fit)
     outside = init.copy()
     outside.allocated[0].mu = outside.allocated[0].mu + 1e6
     with pytest.raises(ConfigError):
-        run_sampler(data, outside, prior, SamplerConfig(iterations=2, burn_in=0))
+        run_sampler(data, outside, prior, SamplerConfig(iterations=2, burn_in=0), *fit)
 
 
 def test_cached_column_log_joint_matches_oracle():
@@ -491,7 +500,7 @@ def test_two_well_separated_clusters_are_recovered(tiny2):
     init = pretrain_mixture(tiny2, 2, PretrainConfig(seed=0), prior, basis,
                             dpp_model=dpp_model)
     cfg = SamplerConfig(iterations=150, burn_in=50, seed=11)
-    trace, report = run_sampler(tiny2, init, prior, cfg)
-    ks = trace.k_array()
+    trace, report = run_sampler(tiny2, init, prior, cfg, FeatureSet(tiny2, basis), dpp_model)
+    ks = np.asarray(trace.k)
     assert (ks == 2).mean() >= 0.9
     assert purity(report.map_labels, labels) >= 0.9

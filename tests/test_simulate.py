@@ -1,5 +1,6 @@
 """Thinning simulator and the synthetic benchmark recipes."""
 
+import json
 import math
 
 import numpy as np
@@ -27,8 +28,6 @@ from tppcluster.simulate import (
     MixtureSpec,
     build_hawkes_delta_dataset,
     build_hybrid_dataset,
-    read_metadata,
-    sample_mixture,
     thinning_sample,
     write_metadata,
 )
@@ -187,30 +186,8 @@ def test_mixture_spec_validation():
     for count in (0, -3):
         with pytest.raises(ConfigError, match="n_per_component"):
             MixtureSpec([a, b], horizon=3.0, n_per_component=count)
-        with pytest.raises(ConfigError, match="n_total"):
-            MixtureSpec([a, b], horizon=3.0, n_total=count, weights=[0.5, 0.5])
-    with pytest.raises(ConfigError):
-        MixtureSpec([a, b], horizon=3.0)  # neither count given
-    with pytest.raises(ConfigError):
-        MixtureSpec([a, b], horizon=3.0, n_per_component=2, n_total=4, weights=[0.5, 0.5])
-    with pytest.raises(ConfigError):
-        MixtureSpec([a, b], horizon=3.0, n_total=4)  # weights missing
-    with pytest.raises(ConfigError):
-        MixtureSpec([a, b], horizon=3.0, n_total=4, weights=[1.0])  # wrong length
     with pytest.raises(ConfigError):
         MixtureSpec([a, HomogeneousPoisson([1.0, 1.0])], horizon=3.0, n_per_component=2)
-
-
-def test_weighted_mixture_draws_labels():
-    comps = [HomogeneousPoisson([0.5]), HomogeneousPoisson([2.0])]
-    spec = MixtureSpec(comps, horizon=3.0, n_total=40, weights=[2.0, 2.0], seed=5)
-    assert np.allclose(spec.weights, [0.5, 0.5])  # normalised in place
-    data = sample_mixture(spec)
-    assert len(data.sequences) == 40
-    labels = {s.label for s in data.sequences}
-    assert labels == {0, 1}
-    assert data.sequences[0].id == "seq-0000"
-    assert isinstance(data.sequences[0].label, int)
 
 
 def test_self_correcting_time_rescaling():
@@ -248,7 +225,7 @@ def test_metadata_sidecar_round_trip(tmp_path):
     data = build_hawkes_delta_dataset(2, 0.5, n_per_cluster=3, horizon=2.0, seed=9)
     path = tmp_path / "dataset.meta.json"
     write_metadata(data, path)
-    rec = read_metadata(path)
+    rec = json.loads(path.read_text(encoding="utf-8"))
     assert rec["n_types"] == 3
     assert rec["n_sequences"] == 6
     assert rec["recipe"] == "hawkes_delta"
