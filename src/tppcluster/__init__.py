@@ -34,7 +34,6 @@ from .metrics import EvalResult, ari, ell, m_summary, purity
 from .pretrain import PretrainConfig, pretrain_mixture
 from .sampler import PosteriorTrace, RunReport, SamplerConfig, psi_log, run_sampler, state_log_joint
 from .simulate import (
-    MixtureSpec,
     SIM_BASIS,
     build_hawkes_delta_dataset,
     build_hybrid_dataset,

@@ -238,9 +238,6 @@ class FeatureSet:
         out[(mask & ~ok).any(axis=1)] = -np.inf
         return out
 
-    def loglik_sum(self, mu: np.ndarray, a: np.ndarray, idx=None) -> float:
-        return float(self.loglik_all(mu, a, idx).sum())
-
     # -- base-rate move helpers ---------------------------------------------
 
     def excitation(self, a: np.ndarray, idx) -> np.ndarray:

@@ -57,11 +57,15 @@ OUTPUT_ROOT_ENV = "TPPCLUSTER_OUT"
 
 
 def _resolve_out(out: str | Path) -> Path:
+    """The ``--out`` directory, checked before any work but not created: the
+    path, or the nearest of its ancestors that exists, must be a directory."""
     out = Path(out)
     root = os.environ.get(OUTPUT_ROOT_ENV)
     if root and not out.is_absolute():
         out = Path(root) / out
-    out.mkdir(parents=True, exist_ok=True)
+    there = next(p for p in (out, *out.parents) if p.exists())
+    if not there.is_dir():
+        raise ConfigError(f"--out {out}: {there} exists and is not a directory")
     return out
 
 
@@ -326,23 +330,26 @@ def _check_sim_flags(args) -> None:
 
 def cmd_simulate(args) -> int:
     _check_sim_flags(args)
+    if args.recipe == "hybrid" and args.k not in (3, 4, 5):
+        raise ConfigError(f"--k must be 3, 4 or 5 for the hybrid recipe, got {args.k}")
+    if args.recipe == "hawkes-delta" and args.delta is None:
+        raise ConfigError("--delta is required for the hawkes-delta recipe")
+    if args.recipe == "hawkes-delta" and not (math.isfinite(args.delta) and args.delta >= 0):
+        raise ConfigError(f"--delta must be a finite nonnegative number, got {args.delta}")
     out = _resolve_out(args.out)
     keys = ("recipe", "k", "n_per_cluster", "horizon", "delta", "seed")
     resolved = {key: getattr(args, key) for key in keys}
     if args.recipe == "hawkes-delta":
-        if args.delta is None:
-            raise ConfigError("--delta is required for the hawkes-delta recipe")
         data = build_hawkes_delta_dataset(
             args.k, args.delta, n_per_cluster=args.n_per_cluster,
             horizon=args.horizon, seed=args.seed,
         )
-    elif args.recipe == "hybrid":
+    else:
         data = build_hybrid_dataset(
             args.k, n_per_cluster=args.n_per_cluster,
             horizon=args.horizon, seed=args.seed,
         )
-    else:
-        raise ConfigError(f"unknown recipe {args.recipe!r}")
+    out.mkdir(parents=True, exist_ok=True)
     write_jsonl(data, out / "dataset.jsonl")
     write_metadata(data, out / "dataset.meta.json")
     _write_json(resolved, out / "config.snapshot.json")
@@ -352,8 +359,6 @@ def cmd_simulate(args) -> int:
 
 def _load_dataset(path: str, n_types=None) -> Dataset:
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"dataset not found: {p}")
     sidecar = p.with_suffix(".meta.json")
     meta = _read_json(sidecar, "metadata") if sidecar.exists() else {}
     if not isinstance(meta, dict):
@@ -386,15 +391,16 @@ def _given(flags: dict) -> dict:
 
 
 def _read_json(path: Path, what: str):
-    if not path.exists():
-        raise ConfigError(f"{what} not found: {path}")
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror}") from None
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ConfigError(f"malformed {what} {path}: {exc}") from None
 
 
 def cmd_fit(args) -> int:
+    out = _resolve_out(args.out)
     file_cfg = _read_json(Path(args.config), "config file") if args.config else None
     m_init = None
     if args.m_init is not None:
@@ -416,7 +422,7 @@ def cmd_fit(args) -> int:
 
     data = _load_dataset(cfg.data.path, cfg.data.n_types)
     result = run_fit(data, cfg)
-    out = _resolve_out(args.out)  # a rejected fit writes nothing
+    out.mkdir(parents=True, exist_ok=True)  # a rejected fit writes nothing
     _write_json(cfg.raw, out / "resolved_config.json")
     _write_run(result, data, cfg.data.path, out)
     print(
@@ -465,6 +471,7 @@ def _score(state: MixtureState, train: Dataset, ell_data: Dataset | None,
 
 
 def cmd_eval(args) -> int:
+    out = _resolve_out(args.out)
     rep_path = Path(args.report)
     rep = _read_json(rep_path, "report")
     needed = {"train_ids", "eval_ids", "k_mean", "k_hist"}
@@ -502,7 +509,7 @@ def cmd_eval(args) -> int:
         ell_on_train = True
 
     res = _score(state, train, ell_data, k_mean, k_hist)
-    out = _resolve_out(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     payload = res.to_dict()
     payload["ell_on_train"] = ell_on_train
     _write_json(payload, out / "metrics.json")
@@ -535,7 +542,7 @@ def cmd_sweep(args) -> int:
         "eval_fraction": 0.0, "pretrain": {"m_init": [max(args.k - 1, 1), args.k + 1]},
         "sampler": {"iterations": args.iterations, "burn_in": args.burn_in},
     }))
-    out = _resolve_out(args.out)
+    out = _resolve_out(args.out)  # made by the first cell's run directory
 
     rows = ["delta,trial,purity,ari,ell,k_mean"]
     summary = {}

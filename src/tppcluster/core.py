@@ -487,22 +487,27 @@ def read_jsonl(path, n_types: int | None = None) -> Dataset:
     """Read a JSON-lines dataset.
 
     ``T`` and every ``t`` must be JSON numbers, every ``d`` a JSON integer,
-    and sequence ids unique.  When ``n_types`` is omitted the alphabet size
-    is inferred as the largest observed mark (a sidecar metadata file, when
-    present, is the more robust source and is handled by the CLI layer).
+    and ids unique JSON strings (``line-<n>`` when absent).  When ``n_types``
+    is omitted the alphabet size is inferred as the largest observed mark (a
+    sidecar metadata file, when present, is the more robust source and is
+    handled by the CLI layer).  An unreadable file raises ConfigError too.
     """
     path = Path(path)
     sequences = []
     first_line: dict[str, int] = {}
     max_d = 0
-    with path.open("r", encoding="utf-8") as fh:
+    try:
+        fh = path.open("rb")  # each line is decoded on its own, so a bad byte names its line
+    except OSError as exc:
+        raise ConfigError(f"cannot read dataset {path}: {exc.strerror}") from None
+    with fh:
         for ln, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+                rec = json.loads(line.decode("utf-8"))
+            except ValueError as exc:  # not UTF-8, or not JSON
                 raise ConfigError(f"{path}:{ln}: malformed JSON ({exc})") from None
             try:
                 label = rec.get("label")
@@ -515,7 +520,7 @@ def read_jsonl(path, n_types: int | None = None) -> Dataset:
                     np.array(times, dtype=np.float64),
                     np.array(marks, dtype=np.int64) - 1,
                     _typed([rec["T"]], _NUMBER, "T must be a number")[0],
-                    id=str(rec.get("id", f"line-{ln}")),
+                    id=_typed([rec.get("id", f"line-{ln}")], (str,), "id must be a string")[0],
                     label=label,
                 )
             except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:

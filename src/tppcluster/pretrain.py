@@ -4,14 +4,14 @@ Hard-assignment EM: sequences start in random clusters, each cluster's
 parameters are improved by a few projected gradient-ascent steps on its
 members' summed log likelihood (with backtracking so the objective never
 drops), and sequences are reassigned to their best-fitting cluster.  Emptied
-clusters are removed.  The result is wrapped into a sampler-ready state:
-weight seeds equal member counts, no spare components, and the auxiliary
-variable drawn from its full conditional.
+clusters are removed at the top of each round.  The result is wrapped into a
+sampler-ready state: base rates inside the repulsive prior's box, weight
+seeds equal member counts, no spare components, and the auxiliary variable
+drawn from its full conditional.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +28,6 @@ from .core import (
 from .dpp import DppSpectralModel
 
 __all__ = ["PretrainConfig", "pretrain_mixture"]
-
-log = logging.getLogger(__name__)
 
 _MU_FLOOR = 1e-6
 _INIT_JITTER = 0.1  # relative spread of the initial base rates
@@ -56,50 +54,42 @@ def _cluster_ascent(features: FeatureSet, idx: np.ndarray, mu: np.ndarray, a: np
     Gradients are averaged per member so the step size is insensitive to the
     cluster size; backtracking halves the step until the objective improves.
     """
-    best = features.loglik_sum(mu, a, idx)
-    scale = max(len(idx), 1)
+    best = float(features.loglik_all(mu, a, idx).sum())
+    scale = len(idx)  # emptied clusters were dropped, so every cluster has members
     for _ in range(cfg.gd_steps):
-        gmu, ga = _grads(features, idx, mu, a)
+        gmu, ga = features.loglik_grad(mu, a, idx)
+        if ga is None:  # nonpositive rate: push mass up via the mu gradient only
+            ga = np.zeros_like(a)
         step = cfg.learning_rate
-        improved = False
         for _ in range(5):
             mu_new = np.maximum(mu + step * gmu / scale, _MU_FLOOR)
             a_new = np.maximum(a + step * ga / scale, 0.0)
-            cand = features.loglik_sum(mu_new, a_new, idx)
+            cand = float(features.loglik_all(mu_new, a_new, idx).sum())
             if cand > best:
                 mu, a, best = mu_new, a_new, cand
-                improved = True
                 break
             step *= 0.5
-        if not improved:
+        else:  # no halving improved the objective
             break
-    return mu, a, best
-
-
-def _grads(features: FeatureSet, idx: np.ndarray, mu: np.ndarray, a: np.ndarray):
-    gmu, ga = features.loglik_grad(mu, a, idx)
-    if ga is None:  # nonpositive rate: push mass up via the mu gradient only
-        ga = np.zeros_like(a)
-    return gmu, ga
+    return mu, a
 
 
 def pretrain_mixture(data: Dataset, m_init: int, config: PretrainConfig,
-                     prior: PriorBundle, basis: BasisConfig,
-                     features: FeatureSet | None = None,
-                     dpp_model: DppSpectralModel | None = None) -> MixtureState:
+                     prior: PriorBundle, basis: BasisConfig, *,
+                     features: FeatureSet, dpp_model: DppSpectralModel) -> MixtureState:
     """Initialise a mixture state with ``m_init`` clusters refined by hard EM.
 
-    When a repulsive-prior model is supplied, the fitted base rates are
-    clamped into its box (slightly inside the faces) so the returned state has
-    positive prior density.
+    ``features`` is the store of ``data`` under ``basis``.  The fitted base
+    rates are clamped into ``dpp_model``'s box (slightly inside the faces), so
+    the returned state has positive prior density.  ``prior`` is not read; it
+    stays the fourth argument because ``bench/tracing.py`` unpacks the first
+    five.
     """
     if m_init < 1:
         raise ConfigError("m_init must be >= 1")
     n = len(data.sequences)
     if n == 0:
         raise ConfigError("cannot pretrain on an empty dataset")
-    if features is None:
-        features = FeatureSet(data, basis)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     D, nb = data.n_types, basis.n_basis
 
@@ -111,38 +101,32 @@ def pretrain_mixture(data: Dataset, m_init: int, config: PretrainConfig,
         mus.append(np.maximum(lam_bar * jitter, _MU_FLOOR))
         As.append(np.full((D, D, nb), 0.01))
 
-    keep = [m for m in range(len(mus)) if np.any(assign == m)]
-    mus = [mus[m] for m in keep]
-    As = [As[m] for m in keep]
-    assign = np.searchsorted(np.asarray(keep), assign)
-
-    for _ in range(config.rounds):
+    for r in range(config.rounds + 1):
+        keep = [m for m in range(len(mus)) if np.any(assign == m)]
+        mus = [mus[m] for m in keep]
+        As = [As[m] for m in keep]
+        assign = np.searchsorted(np.asarray(keep), assign)
+        if r == config.rounds:
+            break
         cols = np.empty((n, len(mus)))
         for m in range(len(mus)):
             idx = np.flatnonzero(assign == m)
-            mus[m], As[m], _ = _cluster_ascent(features, idx, mus[m], As[m], config)
+            mus[m], As[m] = _cluster_ascent(features, idx, mus[m], As[m], config)
             cols[:, m] = features.loglik_all(mus[m], As[m])
         assign = cols.argmax(axis=1)
-        keep = [m for m in range(len(mus)) if np.any(assign == m)]
-        if len(keep) < len(mus):
-            log.debug("pretrain dropped %d empty cluster(s)", len(mus) - len(keep))
-            mus = [mus[m] for m in keep]
-            As = [As[m] for m in keep]
-            assign = np.searchsorted(np.asarray(keep), assign)
 
-    if dpp_model is not None:
-        width = dpp_model.box_hi - dpp_model.box_lo
-        lo = dpp_model.box_lo + 1e-3 * width
-        hi = dpp_model.box_hi - 1e-3 * width
-        mus = [np.clip(mu, lo, hi) for mu in mus]
-        # clipping can land several clusters on the same box face; spread them
-        # slightly, always toward the interior so the nudge cannot clip back
-        # onto the face it started from
-        mid = 0.5 * (lo + hi)
-        for m in range(1, len(mus)):
-            while any(np.array_equal(mus[m], mus[j]) for j in range(m)):
-                step = 1e-3 * width * rng.random(D)
-                mus[m] = np.clip(mus[m] + np.where(mus[m] > mid, -step, step), lo, hi)
+    width = dpp_model.box_hi - dpp_model.box_lo
+    lo = dpp_model.box_lo + 1e-3 * width
+    hi = dpp_model.box_hi - 1e-3 * width
+    mus = [np.clip(mu, lo, hi) for mu in mus]
+    # clipping can land several clusters on the same box face; spread them
+    # slightly, always toward the interior so the nudge cannot clip back
+    # onto the face it started from
+    mid = 0.5 * (lo + hi)
+    for m in range(1, len(mus)):
+        while any(np.array_equal(mus[m], mus[j]) for j in range(m)):
+            step = 1e-3 * width * rng.random(D)
+            mus[m] = np.clip(mus[m] + np.where(mus[m] > mid, -step, step), lo, hi)
 
     counts = np.bincount(assign, minlength=len(mus))
     components = [

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,6 @@ from .core import BasisConfig, ConfigError, Dataset, EventSequence, HawkesParams
 
 __all__ = [
     "thinning_sample",
-    "MixtureSpec",
     "sample_mixture",
     "SIM_BASIS",
     "build_hawkes_delta_dataset",
@@ -94,58 +92,38 @@ def thinning_sample(model, horizon: float, rng: np.random.Generator,
 # mixtures of generators
 
 
-@dataclass
-class MixtureSpec:
-    """Recipe for a labelled synthetic dataset.
-
-    components      : one intensity model per cluster
-    horizon         : shared observation window
-    n_per_component : exact sequence count per cluster (balanced design)
-    """
-
-    components: list
-    horizon: float
-    n_per_component: int
-    seed: int = 0
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.components:
-            raise ConfigError("mixture needs at least one component")
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
-            raise ConfigError(f"mixture horizon must be finite and positive, got {self.horizon}")
-        if self.n_per_component < 1:
-            raise ConfigError(f"n_per_component must be >= 1, got {self.n_per_component}")
-        ds = {m.n_types for m in self.components}
-        if len(ds) != 1:
-            raise ConfigError("all mixture components must share one type alphabet")
-
-
-def sample_mixture(spec: MixtureSpec) -> Dataset:
-    """Generate a labelled dataset; per-sequence RNG substreams keep every
-    sequence reproducible independently of the others."""
-    root = np.random.SeedSequence(spec.seed)
-    labels = np.repeat(np.arange(len(spec.components)), spec.n_per_component)
+def sample_mixture(components: list, horizon: float, n_per_component: int, seed: int = 0,
+                   metadata: dict | None = None) -> Dataset:
+    """Generate a labelled dataset with ``n_per_component`` sequences on
+    (0, ``horizon``] from each intensity model in ``components``; per-sequence
+    RNG substreams keep every sequence reproducible independently of the others."""
+    if not components:
+        raise ConfigError("mixture needs at least one component")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ConfigError(f"mixture horizon must be finite and positive, got {horizon}")
+    if n_per_component < 1:
+        raise ConfigError(f"n_per_component must be >= 1, got {n_per_component}")
+    if len({m.n_types for m in components}) != 1:
+        raise ConfigError("all mixture components must share one type alphabet")
+    root = np.random.SeedSequence(seed)
+    labels = np.repeat(np.arange(len(components)), n_per_component)
     # sequence i draws from child i + 1: child 0 stays unused so that datasets
     # simulated by earlier versions, which spent it on labels, keep their bytes
     streams = root.spawn(len(labels) + 1)[1:]
     width = max(4, len(str(max(len(labels) - 1, 1))))
-    sequences = []
-    for i, lab in enumerate(labels):
-        rng = np.random.default_rng(streams[i])
-        seq = thinning_sample(
-            spec.components[int(lab)], spec.horizon, rng,
-            id=f"seq-{i:0{width}d}", label=int(lab),
-        )
-        sequences.append(seq)
-    meta = dict(spec.metadata)
+    sequences = [
+        thinning_sample(components[int(lab)], horizon, np.random.default_rng(streams[i]),
+                        id=f"seq-{i:0{width}d}", label=int(lab))
+        for i, lab in enumerate(labels)
+    ]
+    meta = dict(metadata or {})
     meta.update(
-        seed=spec.seed,
-        horizon=spec.horizon,
-        n_types=spec.components[0].n_types,
-        components=[m.describe() for m in spec.components],
+        seed=seed,
+        horizon=horizon,
+        n_types=components[0].n_types,
+        components=[m.describe() for m in components],
     )
-    return Dataset(sequences, spec.components[0].n_types, meta)
+    return Dataset(sequences, components[0].n_types, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +154,10 @@ def build_hawkes_delta_dataset(k_clusters: int, delta: float, n_per_cluster: int
         _uniform_hawkes(0.5 + delta * m, 0.1, n_types)
         for m in range(k_clusters)
     ]
-    spec = MixtureSpec(
+    return sample_mixture(
         comps, horizon, n_per_component=n_per_cluster, seed=seed,
         metadata={"recipe": "hawkes_delta", "delta": delta, "k_clusters": k_clusters},
     )
-    return sample_mixture(spec)
 
 
 def build_hybrid_dataset(k_clusters: int, n_per_cluster: int = 100, horizon: float = 20.0,
@@ -208,11 +185,10 @@ def build_hybrid_dataset(k_clusters: int, n_per_cluster: int = 100, horizon: flo
         comps.append(SelfCorrecting(eta=1.0, gamma=0.5, n_types=n_types))
     if k_clusters == 5:
         comps.append(_uniform_hawkes(1.8, 0.08, n_types))
-    spec = MixtureSpec(
+    return sample_mixture(
         comps, horizon, n_per_component=n_per_cluster, seed=seed,
         metadata={"recipe": "hybrid", "k_clusters": k_clusters},
     )
-    return sample_mixture(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tppcluster.backbone import HomogeneousPoisson
-from tppcluster.simulate import MixtureSpec, sample_mixture
+from tppcluster.simulate import sample_mixture
 
 # one line per acceptance criterion, echoed after the run so the pass/fail
 # verdicts are visible even with output capture on
@@ -23,13 +23,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture(scope="session")
 def tiny2():
     """Two well-separated single-type Poisson clusters (15 + 15, T=20)."""
-    spec = MixtureSpec(
+    return sample_mixture(
         [HomogeneousPoisson([0.3]), HomogeneousPoisson([3.0])],
         horizon=20.0,
         n_per_component=15,
         seed=41,
     )
-    return sample_mixture(spec)
 
 
 @pytest.fixture()

@@ -21,7 +21,6 @@ from tppcluster.backbone import HomogeneousPoisson
 from tppcluster.cli import FitConfig, run_fit
 from tppcluster.metrics import ari, purity
 from tppcluster.simulate import (
-    MixtureSpec,
     build_hawkes_delta_dataset,
     build_hybrid_dataset,
     sample_mixture,
@@ -157,10 +156,9 @@ def test_mixed_dynamics_clustering_quality():
 def test_cluster_count_identified_on_two_rate_poisson():
     t0 = time.perf_counter()
     sim_seed, fit_seed = _seeds(13)
-    spec = MixtureSpec(
+    data = sample_mixture(
         [HomogeneousPoisson([0.2]), HomogeneousPoisson([5.0])],
         horizon=50.0, n_per_component=50, seed=sim_seed)
-    data = sample_mixture(spec)
     cfg = FitConfig.resolve(None, {
         "seed": fit_seed,
         "eval_fraction": 0.0,

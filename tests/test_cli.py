@@ -70,15 +70,27 @@ def test_simulate_is_byte_reproducible(tmp_path):
 
 
 def test_simulate_requires_delta_for_graded_recipe(tmp_path, capsys):
+    out = tmp_path / "x"
     rc = main(["simulate", "--recipe", "hawkes-delta", "--k", "2",
-               "--out", str(tmp_path / "x")])
+               "--out", str(out)])
     assert rc == 1
     assert "delta" in capsys.readouterr().err
+    assert not out.exists()
     for bad in ("nan", "inf", "-0.5"):
         rc = main(["simulate", "--recipe", "hawkes-delta", "--k", "2", "--delta", bad,
-                   "--out", str(tmp_path / "x")])
+                   "--out", str(out)])
         assert rc == 1
         assert f"delta must be a finite nonnegative number, got {float(bad)}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_simulate_checks_hybrid_k_before_output(tmp_path, capsys):
+    out = tmp_path / "x"
+    for k in ("2", "6"):
+        rc = main(["simulate", "--recipe", "hybrid", "--k", k, "--out", str(out)])
+        assert rc == 1
+        assert f"--k must be 3, 4 or 5 for the hybrid recipe, got {k}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_simulate_rejects_bad_horizon_and_cluster_size(tmp_path, capsys):
@@ -273,6 +285,55 @@ def test_fit_input_error_paths(tmp_path, capsys):
                  "--out", str(tmp_path / "e2")]) == 1
     assert main(["fit", "--out", str(tmp_path / "e3")]) == 1  # no dataset anywhere
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit", "eval", "sweep"])
+def test_out_that_is_a_file_is_rejected_before_any_work(tmp_path, capsys, command):
+    sim = _simulate(tmp_path) if command == "fit" else tmp_path / "sim"
+    argv = {
+        "simulate": ["simulate", "--recipe", "hybrid", "--k", "3", "--n-per-cluster", "2"],
+        "fit": ["fit", "--data", str(sim / "dataset.jsonl"), "--iterations", "4",
+                "--burn-in", "2"],
+        "eval": ["eval", "--report", str(tmp_path / "fit" / "report.json"),
+                 "--data", str(sim / "dataset.jsonl")],
+        "sweep": ["sweep", "--deltas", "0.5", "--trials", "1", "--k", "2",
+                  "--n-per-cluster", "2", "--iterations", "4", "--burn-in", "2"],
+    }[command]
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    before = sorted(tmp_path.rglob("*"))
+    for out in (afile, afile / "sub"):
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --out {out}: {afile} exists and is not a directory\n")
+    assert sorted(tmp_path.rglob("*")) == before
+    assert afile.read_text() == "keep\n"
+
+
+def test_unreadable_inputs_exit_1_naming_the_file(tmp_path, capsys):
+    data = str(_simulate(tmp_path) / "dataset.jsonl")
+    latin = tmp_path / "latin.jsonl"
+    latin.write_bytes(b'{"id": "a", "T": 1.0, "events": []}\n'
+                      b'{"id": "caf\xe9", "T": 1.0, "events": []}\n')
+    latin_cfg = tmp_path / "latin.json"
+    latin_cfg.write_bytes(b'{"seed": "\xe9"}')
+    cases = [
+        (["fit", "--data", str(tmp_path)], f"cannot read dataset {tmp_path}: Is a directory"),
+        (["fit", "--data", str(tmp_path / "nowhere.jsonl")],
+         f"cannot read dataset {tmp_path / 'nowhere.jsonl'}: No such file or directory"),
+        (["fit", "--data", str(latin)], f"{latin}:2: malformed JSON ('utf-8' codec"),
+        (["fit", "--data", data, "--config", str(tmp_path)],
+         f"cannot read config file {tmp_path}: Is a directory"),
+        (["fit", "--data", data, "--config", str(latin_cfg)],
+         f"malformed config file {latin_cfg}: 'utf-8' codec"),
+        (["eval", "--report", str(tmp_path), "--data", data],
+         f"cannot read report {tmp_path}: Is a directory"),
+    ]
+    for argv, message in cases:
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_fit_snapshot_rerun_is_identical(tmp_path):

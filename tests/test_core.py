@@ -329,10 +329,19 @@ def test_jsonl_malformed(tmp_path):
         ('{"id":"a","T":3.0,"events":[{"t":false,"d":1}]}', "t must be a number"),
         ('{"id":"a","T":"10","events":[]}', "T must be a number"),
         ('{"id":"a","T":null,"events":[]}', "T must be a number"),
+        ('{"id":5,"T":3.0,"events":[]}', "id must be a string, got 5"),
+        ('{"id":null,"T":3.0,"events":[]}', "id must be a string, got None"),
     ):
         p.write_text(ok + "\n" + rec + "\n", encoding="utf-8")
         with pytest.raises(ConfigError, match=f"bad.jsonl:2: bad record \\({why}"):
             read_jsonl(p)
+    p.write_text(ok + '\n{"T":3.0,"events":[]}\n', encoding="utf-8")
+    assert [s.id for s in read_jsonl(p).sequences] == ["a", "line-2"]  # an absent id
+    p.write_bytes(ok.encode() + b'\n{"id":"\xff","T":3.0,"events":[]}\n')
+    with pytest.raises(ConfigError, match="bad.jsonl:2: malformed JSON"):
+        read_jsonl(p)
+    with pytest.raises(ConfigError, match="cannot read dataset .*: Is a directory"):
+        read_jsonl(tmp_path)
     b = '{"id":"b","T":3.0,"events":[]}'
     p.write_text("\n".join([ok, b, ok]) + "\n", encoding="utf-8")
     with pytest.raises(ConfigError,

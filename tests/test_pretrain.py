@@ -7,22 +7,27 @@ from tppcluster.backbone import FeatureSet, HomogeneousPoisson, hawkes_loglik_gr
 from tppcluster.core import BasisConfig, ConfigError, Dataset, DppConfig, HawkesParams, PriorBundle
 from tppcluster.dpp import model_for_data
 from tppcluster.metrics import purity
-from tppcluster.pretrain import PretrainConfig, _grads, pretrain_mixture
-from tppcluster.simulate import MixtureSpec, sample_mixture
+from tppcluster.pretrain import PretrainConfig, pretrain_mixture
+from tppcluster.simulate import sample_mixture
 
 PRIOR = PriorBundle(beta_w=10.0, dpp=DppConfig())
 
 
 def _poisson_data(rates, n=30, horizon=8.0, seed=13):
-    spec = MixtureSpec([HomogeneousPoisson(rates)], horizon, n_per_component=n, seed=seed)
-    return sample_mixture(spec)
+    return sample_mixture([HomogeneousPoisson(rates)], horizon, n_per_component=n, seed=seed)
+
+
+def _inputs(data, basis):
+    """The feature store and the default-box prior model a fit builds for ``data``."""
+    return {"features": FeatureSet(data, basis),
+            "dpp_model": model_for_data(data, PRIOR.dpp, default_rho=2.0)}
 
 
 def test_single_cluster_recovers_poisson_rates():
     rates = np.array([1.5, 0.7])
     data = _poisson_data(rates)
     basis = BasisConfig.for_data(data, n_basis=3)
-    state = pretrain_mixture(data, 1, PretrainConfig(seed=0), PRIOR, basis)
+    state = pretrain_mixture(data, 1, PretrainConfig(seed=0), PRIOR, basis, **_inputs(data, basis))
     assert state.k == 1
     assert state.l == 0
     counts = np.zeros(2)
@@ -39,7 +44,8 @@ def test_single_cluster_recovers_poisson_rates():
 def test_separated_clusters_are_found(tiny2):
     labels = np.array([s.label for s in tiny2.sequences])
     basis = BasisConfig.for_data(tiny2, n_basis=3)
-    state = pretrain_mixture(tiny2, 2, PretrainConfig(seed=1), PRIOR, basis)
+    state = pretrain_mixture(tiny2, 2, PretrainConfig(seed=1), PRIOR, basis,
+                             **_inputs(tiny2, basis))
     assert state.k == 2
     assert purity(state.c, labels) >= 0.99
     assert state.violations() == []
@@ -54,7 +60,7 @@ def test_cluster_gradient_matches_per_sequence():
     assert features.n_events[idx].max() < features.n_events[longest]
     rng = np.random.default_rng(3)
     mu, a = rng.uniform(0.5, 1.5, size=2), rng.uniform(0.0, 0.3, size=(2, 2, 3))
-    gmu, ga = _grads(features, idx, mu, a)
+    gmu, ga = features.loglik_grad(mu, a, idx)
     per_seq = [hawkes_loglik_grad(HawkesParams(mu, a, basis), data.sequences[i]) for i in idx]
     assert np.allclose(gmu, sum(g[0] for g in per_seq), rtol=0, atol=1e-10)
     assert np.allclose(ga, sum(g[1] for g in per_seq), rtol=0, atol=1e-10)
@@ -64,7 +70,7 @@ def test_zero_rounds_is_raw_initialisation():
     data = _poisson_data([1.0], n=12)
     basis = BasisConfig.for_data(data, n_basis=3)
     cfg = PretrainConfig(rounds=0, seed=5)
-    state = pretrain_mixture(data, 3, cfg, PRIOR, basis)
+    state = pretrain_mixture(data, 3, cfg, PRIOR, basis, **_inputs(data, basis))
     lam = data.mean_rate_per_type()
     for comp in state.allocated:
         assert np.all(comp.w == 0.01)              # untouched triggering seed
@@ -79,8 +85,8 @@ def test_zero_rounds_is_raw_initialisation():
 def test_same_seed_same_state():
     data = _poisson_data([0.8, 1.6], n=16)
     basis = BasisConfig.for_data(data, n_basis=3)
-    a = pretrain_mixture(data, 2, PretrainConfig(seed=7), PRIOR, basis)
-    b = pretrain_mixture(data, 2, PretrainConfig(seed=7), PRIOR, basis)
+    a = pretrain_mixture(data, 2, PretrainConfig(seed=7), PRIOR, basis, **_inputs(data, basis))
+    b = pretrain_mixture(data, 2, PretrainConfig(seed=7), PRIOR, basis, **_inputs(data, basis))
     assert np.array_equal(a.c, b.c)
     assert a.u == b.u
     for x, y in zip(a.allocated, b.allocated):
@@ -92,7 +98,8 @@ def test_same_seed_same_state():
 def test_more_rounds_never_hurt_the_fit():
     data = _poisson_data([0.9, 1.8], n=20, seed=3)
     basis = BasisConfig.for_data(data, n_basis=3)
-    features = FeatureSet(data, basis)
+    inputs = _inputs(data, basis)
+    features = inputs["features"]
 
     def objective(state):
         cols = np.stack(
@@ -102,7 +109,7 @@ def test_more_rounds_never_hurt_the_fit():
 
     scores = [
         objective(pretrain_mixture(data, 2, PretrainConfig(rounds=r, seed=2),
-                                   PRIOR, basis, features=features))
+                                   PRIOR, basis, **inputs))
         for r in range(4)
     ]
     for earlier, later in zip(scores, scores[1:]):
@@ -116,7 +123,7 @@ def test_box_clamp_keeps_rates_inside_and_distinct():
     cfg = DppConfig(box_lo=(0.2,), box_hi=(0.4,))
     dpp_model = model_for_data(data, cfg, default_rho=2.0)
     state = pretrain_mixture(data, 3, PretrainConfig(seed=6), PRIOR, basis,
-                             dpp_model=dpp_model)
+                             features=FeatureSet(data, basis), dpp_model=dpp_model)
     mus = state.all_mu()
     assert np.all(mus >= 0.2) and np.all(mus <= 0.4)
     for i in range(len(mus)):
@@ -127,11 +134,12 @@ def test_box_clamp_keeps_rates_inside_and_distinct():
 def test_validation_errors():
     data = _poisson_data([1.0], n=4)
     basis = BasisConfig.for_data(data, n_basis=3)
+    inputs = _inputs(data, basis)  # both checks fire before the inputs are read
     with pytest.raises(ConfigError):
-        pretrain_mixture(data, 0, PretrainConfig(), PRIOR, basis)
+        pretrain_mixture(data, 0, PretrainConfig(), PRIOR, basis, **inputs)
     with pytest.raises(ConfigError):
         pretrain_mixture(Dataset([], 1), 1, PretrainConfig(), PRIOR,
-                         BasisConfig(np.array([0.0]), 1.0, 3.0))
+                         BasisConfig(np.array([0.0]), 1.0, 3.0), **inputs)
     with pytest.raises(ConfigError):
         PretrainConfig(rounds=-1)
     with pytest.raises(ConfigError):
@@ -142,7 +150,7 @@ def test_returned_state_is_sampler_ready(tiny2):
     basis = BasisConfig.for_data(tiny2, n_basis=3)
     dpp_model = model_for_data(tiny2, DppConfig(), default_rho=2.0)
     state = pretrain_mixture(tiny2, 4, PretrainConfig(seed=9), PRIOR, basis,
-                             dpp_model=dpp_model)
+                             features=FeatureSet(tiny2, basis), dpp_model=dpp_model)
     assert state.violations() == []
     assert state.c.shape == (len(tiny2.sequences),)
     assert state.c.max() < state.k

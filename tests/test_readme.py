@@ -1,0 +1,14 @@
+"""The README's Python API example runs against the package as it is."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_example_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
+    out = capsys.readouterr().out
+    assert "purity" in out and "posterior k histogram" in out

@@ -364,10 +364,11 @@ def _driver_setup(seed=0, n_per_cluster=5, delta=0.9):
                                       horizon=4.0, seed=1, n_types=1)
     basis = BasisConfig.for_data(data, n_basis=1)
     prior = PriorBundle()
+    features = FeatureSet(data, basis)
     dpp_model = model_for_data(data, prior.dpp, default_rho=2)
     init = pretrain_mixture(data, 2, PretrainConfig(seed=seed), prior, basis,
-                            dpp_model=dpp_model)
-    return data, init, prior, FeatureSet(data, basis), dpp_model
+                            features=features, dpp_model=dpp_model)
+    return data, init, prior, features, dpp_model
 
 
 @pytest.mark.parametrize("iterations,burn_in,stride,expect", [
@@ -496,11 +497,12 @@ def test_two_well_separated_clusters_are_recovered(tiny2):
     labels = np.array([s.label for s in tiny2.sequences])
     basis = BasisConfig.for_data(tiny2, n_basis=3)
     prior = PriorBundle()
+    features = FeatureSet(tiny2, basis)
     dpp_model = model_for_data(tiny2, prior.dpp, default_rho=2)
     init = pretrain_mixture(tiny2, 2, PretrainConfig(seed=0), prior, basis,
-                            dpp_model=dpp_model)
+                            features=features, dpp_model=dpp_model)
     cfg = SamplerConfig(iterations=150, burn_in=50, seed=11)
-    trace, report = run_sampler(tiny2, init, prior, cfg, FeatureSet(tiny2, basis), dpp_model)
+    trace, report = run_sampler(tiny2, init, prior, cfg, features, dpp_model)
     ks = np.asarray(trace.k)
     assert (ks == 2).mean() >= 0.9
     assert purity(report.map_labels, labels) >= 0.9

@@ -25,9 +25,9 @@ from tppcluster.core import (
 )
 from tppcluster.simulate import (
     SIM_BASIS,
-    MixtureSpec,
     build_hawkes_delta_dataset,
     build_hybrid_dataset,
+    sample_mixture,
     thinning_sample,
     write_metadata,
 )
@@ -179,15 +179,15 @@ def test_hybrid_recipe_composition():
 def test_mixture_spec_validation():
     a, b = HomogeneousPoisson([0.5]), HomogeneousPoisson([2.0])
     with pytest.raises(ConfigError):
-        MixtureSpec([], horizon=3.0, n_per_component=2)
+        sample_mixture([], horizon=3.0, n_per_component=2)
     for horizon in (0.0, math.nan, math.inf):
         with pytest.raises(ConfigError, match="horizon"):
-            MixtureSpec([a, b], horizon=horizon, n_per_component=2)
+            sample_mixture([a, b], horizon=horizon, n_per_component=2)
     for count in (0, -3):
         with pytest.raises(ConfigError, match="n_per_component"):
-            MixtureSpec([a, b], horizon=3.0, n_per_component=count)
+            sample_mixture([a, b], horizon=3.0, n_per_component=count)
     with pytest.raises(ConfigError):
-        MixtureSpec([a, HomogeneousPoisson([1.0, 1.0])], horizon=3.0, n_per_component=2)
+        sample_mixture([a, HomogeneousPoisson([1.0, 1.0])], horizon=3.0, n_per_component=2)
 
 
 def test_self_correcting_time_rescaling():
