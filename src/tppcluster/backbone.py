@@ -39,6 +39,12 @@ __all__ = [
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
+def _bumps(basis: BasisConfig, lag: np.ndarray) -> np.ndarray:
+    """Every bump at the lags ``lag`` of shape (..., 1), untruncated; shape (..., n_basis)."""
+    z = (lag - basis.centers) / basis.sigma
+    return (_INV_SQRT_2PI / basis.sigma) * np.exp(-0.5 * z * z)
+
+
 def basis_values(basis: BasisConfig, dt) -> np.ndarray:
     """Evaluate every bump at the lags ``dt``; shape (..., n_basis).
 
@@ -46,10 +52,8 @@ def basis_values(basis: BasisConfig, dt) -> np.ndarray:
     strictly earlier events excite.
     """
     dt = np.asarray(dt, dtype=np.float64)[..., None]
-    z = (dt - basis.centers) / basis.sigma
-    vals = (_INV_SQRT_2PI / basis.sigma) * np.exp(-0.5 * z * z)
     keep = (dt > 0) & (dt <= basis.tau_max)
-    return np.where(keep, vals, 0.0)
+    return np.where(keep, _bumps(basis, dt), 0.0)
 
 
 def basis_integrals(basis: BasisConfig, s) -> np.ndarray:
@@ -65,16 +69,18 @@ def _window(tau_max: float, times: np.ndarray, types: np.ndarray, t: float):
     """Types and lags ``t - t_l`` of the events that excite ``t``: the strict
     past with ``t - t_l <= tau_max``, in ascending time order.
 
-    ``times`` is sorted ascending, so only ``[t - tau_max, t)`` is read.
+    ``times`` is sorted ascending, so only ``[t - tau_max, t)`` is read, and
+    the lags fall along it: the window is one slice ``[lo, hi)``, and every
+    lag in it lies in ``(0, tau_max]``.
     """
     hi = times.searchsorted(t, side="left")  # times[:hi] is the strict past
     lo = times.searchsorted(t - tau_max, side="left")
     # t - x <= tau_max is monotone in x but may round differently from x >= t - tau_max
     while lo > 0 and t - times[lo - 1] <= tau_max:
         lo -= 1
-    dts = t - times[lo:hi]
-    keep = dts <= tau_max
-    return types[lo:hi][keep], dts[keep]
+    while lo < hi and t - times[lo] > tau_max:
+        lo += 1
+    return types[lo:hi], t - times[lo:hi]
 
 
 def hawkes_intensity(params: HawkesParams, times, types, t: float, d: int | None = None):
@@ -87,11 +93,16 @@ def hawkes_intensity(params: HawkesParams, times, types, t: float, d: int | None
     times = np.asarray(times, dtype=np.float64)
     types = np.asarray(types, dtype=np.int64)
     src, dts = _window(params.basis.tau_max, times, types, t)
-    lam = params.mu.copy()
     if src.size:
-        g = basis_values(params.basis, dts)  # (n_past, n_basis)
+        g = _bumps(params.basis, dts[:, None])  # (n_past, n_basis); no lag needs truncating
+        # a[:, src, :], taken along the source axis of a transposed view: the
+        # fancy index's values and strides at less cost, so einsum adds in the
+        # same order
+        a_src = params.a.swapaxes(0, 1).take(src, axis=0).swapaxes(0, 1)
         # sum_j a[:, src, j] * g[., j] for each past event
-        lam = lam + np.einsum("dpj,pj->d", params.a[:, src, :], g)
+        lam = params.mu + np.einsum("dpj,pj->d", a_src, g)
+    else:
+        lam = params.mu.copy()
     return lam if d is None else float(lam[d])
 
 
@@ -129,7 +140,7 @@ def hawkes_loglik_grad(params: HawkesParams, seq: EventSequence):
     da = np.zeros_like(a)
     for t, d in zip(seq.times, seq.types):
         src, dts = _window(basis.tau_max, seq.times, seq.types, t)
-        g = basis_values(basis, dts)
+        g = _bumps(basis, dts[:, None])
         lam = mu[d] + float(np.sum(a[d, src] * g))
         if lam <= 0:
             raise NumericalError("zero intensity at an observed event")
@@ -291,8 +302,9 @@ class FeatureSet:
 # ---------------------------------------------------------------------------
 # simulation-only intensity models
 #
-# Each model exposes per-type rates, a dominating constant valid on a lookahead
-# window given the frozen history, and the window length itself.
+# Each model exposes per-type rates (a float64 array), a dominating constant
+# valid on a lookahead window given the frozen history, and the window length
+# itself.
 
 
 class HomogeneousPoisson:
@@ -392,14 +404,16 @@ class HawkesModel:
         # peak bump value; every centre sits inside the support
         self._gmax = _INV_SQRT_2PI / params.basis.sigma
         self._colsum = params.a.sum(axis=(0, 2))  # (D,) total outgoing weight per source type
-        self._mu_total = params.mu.sum()
+        self._mu_total = float(params.mu.sum())
 
     def evaluate(self, t, times, types) -> np.ndarray:
         return hawkes_intensity(self.params, times, types, t)
 
     def upper_bound(self, t, times, types, until) -> float:
         lo = times.searchsorted(t - self.params.basis.tau_max, side="right")
-        return float(self._mu_total + self._gmax * self._colsum[types[lo:]].sum())
+        # mu_total + gmax * colsum[types[lo:]].sum() with the same bits, in Python
+        # floats and without ndarray.sum's Python wrapper around np.add.reduce
+        return self._mu_total + self._gmax * float(np.add.reduce(self._colsum[types[lo:]]))
 
     def lookahead(self) -> float:
         return math.inf

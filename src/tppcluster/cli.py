@@ -48,6 +48,7 @@ from .sampler import RunReport, SamplerConfig, run_sampler
 from .simulate import (
     build_hawkes_delta_dataset,
     build_hybrid_dataset,
+    check_delta,
     write_metadata,
 )
 
@@ -328,14 +329,23 @@ def _check_sim_flags(args) -> None:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
 
 
+def _check_deltas(flag: str, k: int, deltas: list[float]) -> None:
+    """Raise a ConfigError naming ``flag`` for the first delta the recipe rejects."""
+    for delta in deltas:
+        try:
+            check_delta(k, delta)
+        except ConfigError as exc:
+            raise ConfigError(f"{flag}: {exc}") from None
+
+
 def cmd_simulate(args) -> int:
     _check_sim_flags(args)
     if args.recipe == "hybrid" and args.k not in (3, 4, 5):
         raise ConfigError(f"--k must be 3, 4 or 5 for the hybrid recipe, got {args.k}")
     if args.recipe == "hawkes-delta" and args.delta is None:
         raise ConfigError("--delta is required for the hawkes-delta recipe")
-    if args.recipe == "hawkes-delta" and not (math.isfinite(args.delta) and args.delta >= 0):
-        raise ConfigError(f"--delta must be a finite nonnegative number, got {args.delta}")
+    if args.recipe == "hawkes-delta":
+        _check_deltas("--delta", args.k, [args.delta])
     out = _resolve_out(args.out)
     keys = ("recipe", "k", "n_per_cluster", "horizon", "delta", "seed")
     resolved = {key: getattr(args, key) for key in keys}
@@ -530,9 +540,7 @@ def cmd_sweep(args) -> int:
         deltas = [float(x) for x in args.deltas.split(",") if x.strip()]
     except ValueError:
         raise ConfigError(f"--deltas must list numbers, got {args.deltas!r}") from None
-    bad = [d for d in deltas if not (math.isfinite(d) and d >= 0)]
-    if bad:  # checked before any cell runs
-        raise ConfigError(f"--deltas: delta must be a finite nonnegative number, got {bad[0]}")
+    _check_deltas("--deltas", args.k, deltas)  # before any cell runs
     if not deltas:
         raise ConfigError("--deltas must list at least one value")
     if args.trials < 1:

@@ -11,6 +11,8 @@ re-bounds on short windows because its rate drifts upward between events.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
 from pathlib import Path
@@ -29,6 +31,7 @@ __all__ = [
     "thinning_sample",
     "sample_mixture",
     "SIM_BASIS",
+    "check_delta",
     "build_hawkes_delta_dataset",
     "build_hybrid_dataset",
     "write_metadata",
@@ -66,16 +69,16 @@ def thinning_sample(model, horizon: float, rng: np.random.Generator,
             t = until
             continue
         t = t + gap
-        lam = np.asarray(model.evaluate(t, t_arr, d_arr), dtype=np.float64)
-        total = float(lam.sum())
+        lam = model.evaluate(t, t_arr, d_arr)
+        total = float(np.add.reduce(lam))  # lam.sum() without its Python wrapper
         if total > bound * (1.0 + 1e-9):
             raise NumericalError(
                 f"intensity {total} exceeded its dominating rate {bound} at t={t}"
             )
         if rng.random() * bound <= total:
-            cum = lam.cumsum()
-            d = int(cum.searchsorted(rng.random() * total, side="right"))
-            d = min(d, model.n_types - 1)
+            # accumulate adds in order as cumsum does, so the mark keeps its bits
+            cum = list(itertools.accumulate(lam.tolist()))
+            d = min(bisect.bisect_right(cum, rng.random() * total), model.n_types - 1)
             if n == times.size:
                 times = np.concatenate([times, np.empty_like(times)])
                 types = np.concatenate([types, np.empty_like(types)])
@@ -140,6 +143,18 @@ def _uniform_hawkes(mu: float, coef: float, n_types: int) -> HawkesModel:
     return HawkesModel(HawkesParams(np.full(n_types, float(mu)), a, SIM_BASIS))
 
 
+def check_delta(k_clusters: int, delta: float, n_types: int = 3) -> None:
+    """Reject a separation ``delta`` that is not a finite nonnegative number, or
+    that overflows the fastest cluster's total base rate
+    ``n_types * (0.5 + delta * (k_clusters - 1))``."""
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ConfigError(f"delta must be a finite nonnegative number, got {delta}")
+    if not math.isfinite(n_types * (0.5 + delta * (k_clusters - 1))):
+        raise ConfigError(
+            f"delta {delta} overflows the total base rate of {k_clusters} clusters"
+        )
+
+
 def build_hawkes_delta_dataset(k_clusters: int, delta: float, n_per_cluster: int = 100,
                                horizon: float = 10.0, seed: int = 0,
                                n_types: int = 3) -> Dataset:
@@ -148,8 +163,7 @@ def build_hawkes_delta_dataset(k_clusters: int, delta: float, n_per_cluster: int
     kernel (coefficient 0.1).  Larger ``delta`` spreads the clusters apart."""
     if k_clusters < 1:
         raise ConfigError("k_clusters must be >= 1")
-    if not (math.isfinite(delta) and delta >= 0):
-        raise ConfigError(f"delta must be a finite nonnegative number, got {delta}")
+    check_delta(k_clusters, delta, n_types)
     comps = [
         _uniform_hawkes(0.5 + delta * m, 0.1, n_types)
         for m in range(k_clusters)

@@ -83,6 +83,10 @@ def test_intensity_manual_two_events():
     assert hawkes_intensity(p, times, types, t, d=1) == pytest.approx(lam[1])
     # only the strict past counts
     assert np.allclose(hawkes_intensity(p, times, types, 1.0), [0.4, 0.6])
+    # lists are accepted as well as arrays, with the same bytes
+    for at in (t, 1.0):
+        from_lists = hawkes_intensity(p, times.tolist(), types.tolist(), at)
+        assert from_lists.tobytes() == hawkes_intensity(p, times, types, at).tobytes()
 
 
 @settings(max_examples=300, deadline=None, database=None)

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,15 @@ def test_simulate_requires_delta_for_graded_recipe(tmp_path, capsys):
         assert rc == 1
         assert f"delta must be a finite nonnegative number, got {float(bad)}" in capsys.readouterr().err
         assert not out.exists()
+    # a delta whose total base rate overflows is an input error, raised before
+    # any model is built, so numpy warns of no overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["simulate", "--recipe", "hawkes-delta", "--k", "2", "--delta", "1e308",
+                   "--n-per-cluster", "1", "--horizon", "1", "--out", str(out)])
+    assert rc == 1
+    assert "--delta: delta 1e+308 overflows the total base rate" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_checks_hybrid_k_before_output(tmp_path, capsys):
@@ -496,6 +506,11 @@ def test_sweep_argument_validation(tmp_path, capsys):
         assert main(["sweep", "--deltas", deltas, "--out", str(tmp_path / "s4")]) == 1
         err = capsys.readouterr().err
         assert f"--deltas: delta must be a finite nonnegative number, got {bad}" in err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "--deltas", "0.5,1e308", "--out", str(tmp_path / "s4")]) == 1
+    assert "--deltas: delta 1e+308 overflows the total base rate" in capsys.readouterr().err
+    assert not (tmp_path / "s4").exists()
     for flag, bad in (("--horizon", "nan"), ("--horizon", "inf"),
                       ("--n-per-cluster", "-3"), ("--n-per-cluster", "0"),
                       ("--k", "0"), ("--k", "-2"), ("--seed", "-1")):

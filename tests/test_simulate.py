@@ -1,5 +1,6 @@
 """Thinning simulator and the synthetic benchmark recipes."""
 
+import hashlib
 import json
 import math
 
@@ -134,6 +135,41 @@ def test_event_cap_is_reached(monkeypatch, tmp_path, capsys):
     assert "runaway simulation" in capsys.readouterr().err
 
 
+def _sha256(sequences):
+    h = hashlib.sha256()
+    for s in sequences:
+        h.update(f"{s.id}\0{s.label}\0".encode())
+        h.update(s.times.tobytes())
+        h.update(s.types.tobytes())
+    return h.hexdigest()
+
+
+def test_recipes_keep_their_bytes():
+    """The simulator's outputs are pinned bit for bit: a change to the thinning
+    loop or the intensity that moves one accepted time or mark fails here."""
+    readme = build_hawkes_delta_dataset(4, 0.6, n_per_cluster=50, horizon=10.0, seed=7)
+    assert sum(s.n_events for s in readme.sequences) == 9582
+    assert _sha256(readme.sequences) == (
+        "48bd492e2a7a2d81cde8c0056fb1d59c7b7352359bb1a56aeafda134f7985a98")
+    wide = build_hawkes_delta_dataset(3, 0.5, n_per_cluster=4, horizon=10.0, seed=3, n_types=6)
+    assert _sha256(wide.sequences) == (
+        "85937bfe54ed3ab45b56458d9606f211e00d074d224fe6efa7006799ef50fa8d")
+    # one long sequence of the fastest heavy-tail cluster
+    params = HawkesParams(np.full(3, 1.8), np.full((3, 3, 1), 0.1), SIM_BASIS)
+    long = thinning_sample(HawkesModel(params), 250.0, np.random.default_rng(11),
+                           id="long", label=2)
+    assert long.n_events > 1500
+    assert _sha256([long]) == (
+        "f62c1ea92bcc0746f54613bc107b11a65e048c95d7e16a6853a03498ee28e8ba")
+    hybrid = {
+        3: "f77bd6227c0a594a7428b9718e0b674d1879fbe6321c2bff2bbefe0b8c4e82c2",
+        4: "27e63837850675b96b4a3891c2d045edebb3da7a2645bb459ed914974ecf6bde",
+        5: "6b7a3bf9bb0d4e4fb2cb854010e38a10949de4b9561f81dea97204b0b9a92538",
+    }
+    for k, digest in hybrid.items():
+        assert _sha256(build_hybrid_dataset(k, n_per_cluster=5).sequences) == digest
+
+
 def test_graded_separation_recipe():
     data = build_hawkes_delta_dataset(4, 0.6, n_per_cluster=10, horizon=5.0, seed=2)
     assert len(data.sequences) == 40
@@ -157,6 +193,10 @@ def test_recipe_defaults_and_validation():
         build_hawkes_delta_dataset(0, 0.5)
     with pytest.raises(ConfigError):
         build_hawkes_delta_dataset(2, -0.1)
+    with pytest.raises(ConfigError, match="overflows the total base rate"):
+        build_hawkes_delta_dataset(2, 1e308)
+    with pytest.raises(ConfigError, match="overflows the total base rate"):
+        build_hawkes_delta_dataset(3, 6e307, n_types=2)  # 2 * (0.5 + 1.2e308)
 
 
 def test_hybrid_recipe_composition():
