@@ -272,31 +272,30 @@ class FeatureSet:
 
     def loglik_grad(self, mu: np.ndarray, a: np.ndarray, idx):
         """Summed gradient of the log likelihood over sequences ``idx``; shapes
-        (D,), (D, D, n_basis).
+        (D,), (D, D, n_basis), or None when some event rate is nonpositive
+        (invalid point).
 
         With ``W = onehot / lambda`` over the event slots, the ``mu`` part is
         the column sums of ``W`` and the ``a`` part the GEMM ``Wᵀ @ excite``.
-        The ``a`` part is None when some event rate is nonpositive (invalid
-        point); the ``mu`` part then counts such an event with rate 1.
         """
         rows = self._rows(idx)
         types, mask, excite = self.types[rows], self.mask[rows], self.excite[rows]
         lam = mu[types] + self._excitation(a, excite, types)
-        inv = np.where(mask, 1.0 / np.where(lam > 0, lam, 1.0), 0.0)
-        W = (self.onehot[rows] * inv[..., None]).reshape(-1, self.n_types)
-        gmu = W.sum(axis=0) - self.horizons[idx].sum()
         if np.any((lam <= 0) & mask):
-            return gmu, None
+            return None
+        inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=mask)
+        W = (self.onehot[rows] * inv[..., None]).reshape(-1, self.n_types)
         ga = (W.T @ excite.reshape(-1, a[0].size)).reshape(a.shape)
         ga -= self.comp[idx].sum(axis=0)[None, :, :]
-        return gmu, ga
+        return W.sum(axis=0) - self.horizons[idx].sum(), ga
 
     def grad_a(self, mu: np.ndarray, a: np.ndarray, idx) -> np.ndarray | None:
         """Summed gradient of the log likelihood in ``a`` over sequences ``idx``.
 
         Returns None when some event rate is nonpositive (invalid point).
         """
-        return self.loglik_grad(mu, a, idx)[1]
+        grad = self.loglik_grad(mu, a, idx)
+        return None if grad is None else grad[1]
 
 
 # ---------------------------------------------------------------------------

@@ -225,7 +225,6 @@ def _draw_m_init(spec, rng: np.random.Generator) -> int:
 class FitResult:
     trace: object
     report: RunReport
-    basis: BasisConfig
     train_idx: np.ndarray
     eval_idx: np.ndarray
     m_init: int
@@ -257,14 +256,15 @@ def run_fit(data: Dataset, cfg: FitConfig) -> FitResult:
     train = data.subset(train_idx)
 
     basis = BasisConfig.for_data(train, **asdict(cfg.basis))
-    features = FeatureSet(train, basis)
     m_init = _draw_m_init(cfg.pretrain.m_init, np.random.default_rng(int(seeds[1])))
+    # the prior refuses an alphabet too large for its lattice before the store is sized by it
     dpp_model = model_for_data(train, cfg.prior.dpp, default_rho=m_init)
+    features = FeatureSet(train, basis)
     init = pretrain_mixture(train, m_init, replace(cfg.pretrain, seed=int(seeds[2])), cfg.prior,
                             basis, features=features, dpp_model=dpp_model)
     trace, report = run_sampler(train, init, cfg.prior, replace(cfg.sampler, seed=int(seeds[3])),
                                 features=features, dpp_model=dpp_model)
-    return FitResult(trace, report, basis, train_idx, eval_idx, m_init)
+    return FitResult(trace, report, train_idx, eval_idx, m_init)
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +282,6 @@ def _rle(labels: np.ndarray) -> list[list[int]]:
     return out
 
 
-def _unrle(pairs) -> np.ndarray:
-    return np.concatenate([np.full(c, v, dtype=np.int64) for v, c in pairs]) if pairs else np.empty(0, np.int64)
-
-
 def _write_trace(trace, path: Path) -> None:
     with path.open("w", encoding="utf-8") as fh:
         for i in range(len(trace.iterations)):
@@ -298,18 +294,6 @@ def _write_trace(trace, path: Path) -> None:
                 "components": trace.components[i],
             }
             fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
-
-
-def read_trace(path) -> list[dict]:
-    out = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rec = json.loads(line)
-                rec["labels"] = _unrle(rec.pop("labels_rle"))
-                out.append(rec)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +372,7 @@ def _write_run(result: FitResult, data: Dataset, data_path: str | None, out: Pat
     _write_trace(result.trace, out / "trace.jsonl")
     report = result.report.to_dict()
     report["m_init"] = result.m_init
-    report["basis"] = result.basis.to_dict()
+    report["basis"] = result.report.map_state.basis.to_dict()
     report["train_ids"] = [data.sequences[i].id for i in result.train_idx]
     report["eval_ids"] = [data.sequences[i].id for i in result.eval_idx]
     report["data_path"] = data_path
@@ -444,30 +428,6 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _state_from_report(rep: dict, n_types: int) -> MixtureState:
-    """The point estimate in a report's ``map`` section; KeyError, TypeError or
-    ValueError when it is not a valid state of ``n_types`` event types."""
-    m = rep["map"]
-    basis = BasisConfig.from_dict(m["basis"])
-
-    def component(d) -> core.Component:
-        comp = core.Component(np.asarray(d["mu"], dtype=np.float64),
-                              np.asarray(d["w"], dtype=np.float64), float(d["r"]))
-        if comp.mu.shape != (n_types,):
-            raise ValueError(f"component mu has shape {comp.mu.shape}, "
-                             f"the dataset has {n_types} event types")
-        comp.params(basis)  # checks the shape of w
-        return comp
-
-    state = MixtureState([component(d) for d in m["components"]],
-                         [component(d) for d in m.get("spare_components", [])],
-                         np.asarray(m["labels"], dtype=np.int64), float(m["u"]), basis)
-    bad = state.violations(len(rep["train_ids"]))
-    if bad:
-        raise ValueError("; ".join(bad))
-    return state
-
-
 def _score(state: MixtureState, train: Dataset, ell_data: Dataset | None,
            k_mean: float, k_hist: dict) -> EvalResult:
     """Purity and ARI of ``state``'s labels against ``train``'s (None when
@@ -497,7 +457,7 @@ def cmd_eval(args) -> int:
     if missing:
         raise ConfigError(f"dataset is missing sequences from the report: {missing[:5]}")
     try:
-        state = _state_from_report(rep, data.n_types)
+        state = MixtureState.from_dict(rep["map"], data.n_types, len(rep["train_ids"]))
         k_mean, k_hist = rep["k_mean"], rep["k_hist"]
         if type(k_mean) not in (int, float):
             raise TypeError(f"k_mean must be a number, got {k_mean!r}")
@@ -506,7 +466,7 @@ def cmd_eval(args) -> int:
         k_hist = {int(k): v for k, v in k_hist.items()}
     except KeyError as exc:
         raise ConfigError(f"malformed report {rep_path}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed report {rep_path}: {exc}") from None
 
     train = data.subset([by_id[sid] for sid in rep["train_ids"]])

@@ -185,11 +185,11 @@ class BasisConfig:
         object.__setattr__(
             self, "centers", np.atleast_1d(np.asarray(self.centers, dtype=np.float64))
         )
-        if self.sigma <= 0:
-            raise ConfigError(f"basis sigma must be positive, got {self.sigma}")
-        if self.tau_max <= 0:
-            raise ConfigError(f"basis tau_max must be positive, got {self.tau_max}")
-        if np.any(self.centers < 0) or np.any(self.centers > self.tau_max):
+        if not 0 < self.sigma < math.inf:
+            raise ConfigError(f"basis sigma must be positive and finite, got {self.sigma}")
+        if not 0 < self.tau_max < math.inf:
+            raise ConfigError(f"basis tau_max must be positive and finite, got {self.tau_max}")
+        if not np.all((self.centers >= 0) & (self.centers <= self.tau_max)):
             raise ConfigError("basis centers must lie inside [0, tau_max]")
 
     @property
@@ -437,13 +437,49 @@ class MixtureState:
         for comp in self.allocated + self.non_allocated:
             if comp.r <= 0 or not np.isfinite(comp.r):
                 out.append("component weight seed r must be positive and finite")
-            if np.any(comp.mu <= 0):
-                out.append("component base rates must be positive")
-            if np.any(comp.w < 0):
-                out.append("triggering coefficients must be nonnegative")
+            if not np.all((comp.mu > 0) & (comp.mu < math.inf)):
+                out.append("component base rates must be positive and finite")
+            if not np.all((comp.w >= 0) & (comp.w < math.inf)):
+                out.append("triggering coefficients must be nonnegative and finite")
         if not (self.u > 0 and np.isfinite(self.u)):
             out.append("auxiliary u must be positive and finite")
         return out
+
+    def to_dict(self) -> dict:
+        def comps(cs):
+            return [{"mu": c.mu.tolist(), "w": c.w.tolist(), "r": c.r} for c in cs]
+
+        return {"labels": self.c.tolist(), "u": self.u, "basis": self.basis.to_dict(),
+                "components": comps(self.allocated),
+                "spare_components": comps(self.non_allocated)}
+
+    @staticmethod
+    def from_dict(d: dict, n_types: int, n_sequences: int) -> "MixtureState":
+        """The state :meth:`to_dict` wrote.  KeyError, TypeError or ValueError
+        when ``d`` is not a valid state of ``n_types`` event types over
+        ``n_sequences`` sequences, OverflowError for a number beyond float64
+        or int64."""
+        basis = BasisConfig.from_dict(d["basis"])
+
+        def component(c: dict) -> Component:
+            comp = Component(np.asarray(c["mu"], dtype=np.float64),
+                             np.asarray(c["w"], dtype=np.float64),
+                             float(_typed([c["r"]], _NUMBER, "r must be a number")[0]))
+            if comp.mu.shape != (n_types,):
+                raise ValueError(f"component mu has shape {comp.mu.shape}, "
+                                 f"the dataset has {n_types} event types")
+            comp.params(basis)  # checks the shape of w
+            return comp
+
+        state = MixtureState(
+            [component(c) for c in d["components"]],
+            [component(c) for c in d["spare_components"]],
+            np.asarray(_typed(d["labels"], (int,), "labels must be integers"), dtype=np.int64),
+            float(_typed([d["u"]], _NUMBER, "u must be a number")[0]), basis)
+        bad = state.violations(n_sequences)
+        if bad:
+            raise ValueError("; ".join(bad))
+        return state
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +509,7 @@ def write_jsonl(data: Dataset, path) -> None:
 
 
 _NUMBER = (int, float)  # the JSON number types; a JSON true is a bool, not an int
+_INT64 = np.iinfo(np.int64)
 
 
 def _typed(vals: list, kinds: tuple, what: str) -> list:
@@ -511,8 +548,9 @@ def read_jsonl(path, n_types: int | None = None) -> Dataset:
                 raise ConfigError(f"{path}:{ln}: malformed JSON ({exc})") from None
             try:
                 label = rec.get("label")
-                if label is not None and type(label) is not int:
-                    raise ValueError(f"label must be an integer or null, got {label!r}")
+                if label is not None and (type(label) is not int
+                                          or not _INT64.min <= label <= _INT64.max):
+                    raise ValueError(f"label must be an integer (int64) or null, got {label!r}")
                 events = rec.get("events", [])
                 times = _typed([ev["t"] for ev in events], _NUMBER, "t must be a number")
                 marks = _typed([ev["d"] for ev in events], (int,), "d must be an integer")

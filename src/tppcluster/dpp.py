@@ -73,23 +73,18 @@ class DppSpectralModel:
     def in_box(self, point: np.ndarray) -> bool:
         return bool(np.all(point >= self.box_lo) and np.all(point <= self.box_hi))
 
-    def _features(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-point cosine and sine features ``cos/sin(2 pi x . z)``, each (len(x), n_z)."""
-        ang = 2.0 * math.pi * (x @ self.lattice.T)
-        return np.cos(ang), np.sin(ang)
+    def gram(self, x: np.ndarray) -> np.ndarray:
+        """Gram matrix K(x_i, x_j) in unit-cube coordinates; shape (len(x), len(x)).
 
-    def kernel(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Gram block K(x_i, y_j) in unit-cube coordinates; shape (len(x), len(y)).
-
-        cos(a - b) = cos a cos b + sin a sin b, so the block is
-        ``(C_x phi_tilde) C_y^T + (S_x phi_tilde) S_y^T`` from per-point
-        features: O((len(x) + len(y)) n_z) trigonometric calls.  The lattice
-        is symmetric, so the imaginary parts of the complex expansion cancel
-        exactly.  ``kernel(x, x)`` computes the features once.
+        cos(a - b) = cos a cos b + sin a sin b, so the matrix is
+        ``(C phi_tilde) C^T + (S phi_tilde) S^T`` from the per-point features
+        ``C, S = cos/sin(2 pi x . z)``: O(len(x) n_z) trigonometric calls.  The
+        lattice is symmetric, so the imaginary parts of the complex expansion
+        cancel exactly.
         """
-        cx, sx = self._features(x)
-        cy, sy = (cx, sx) if y is x else self._features(y)
-        return (cx * self.phi_tilde) @ cy.T + (sx * self.phi_tilde) @ sy.T
+        ang = 2.0 * math.pi * (x @ self.lattice.T)
+        c, s = np.cos(ang), np.sin(ang)
+        return (c * self.phi_tilde) @ c.T + (s * self.phi_tilde) @ s.T
 
     def describe(self) -> dict:
         return {
@@ -103,6 +98,20 @@ class DppSpectralModel:
         }
 
 
+def _check_lattice_size(q: int, lattice_radius: int) -> None:
+    """Refuse more than ``MAX_LATTICE_SIZE`` frequencies.  (2L+1)^q is formed
+    up to q = 64 only, past which every side above 1 is refused (3^64 > the limit)."""
+    side = 2 * lattice_radius + 1
+    n_z = side ** min(q, 64)
+    if n_z > MAX_LATTICE_SIZE:
+        size = f"{n_z:,}" if q <= 64 else f"{side}^{q}"
+        raise ConfigError(
+            f"repulsive-prior lattice too large: (2L+1)^q = {size} frequencies for "
+            f"q={q} event types at L={lattice_radius}, above the limit of "
+            f"{MAX_LATTICE_SIZE:,}; lower prior.dpp.lattice_radius"
+        )
+
+
 def build_spectral_model(q: int, lattice_radius: int, rho: float, alpha: float,
                          box_lo, box_hi) -> DppSpectralModel:
     """Construct the truncated spectral model on the given box.
@@ -112,6 +121,7 @@ def build_spectral_model(q: int, lattice_radius: int, rho: float, alpha: float,
     just below one (with a warning) which flattens repulsion toward a
     near-independent prior rather than failing.
     """
+    _check_lattice_size(q, lattice_radius)
     box_lo = np.atleast_1d(np.asarray(box_lo, dtype=np.float64))
     box_hi = np.atleast_1d(np.asarray(box_hi, dtype=np.float64))
     if box_lo.size != q or box_hi.size != q:
@@ -120,13 +130,6 @@ def build_spectral_model(q: int, lattice_radius: int, rho: float, alpha: float,
         raise ConfigError("base-rate box must satisfy 0 < lo < hi per coordinate")
     if rho <= 0 or alpha <= 0:
         raise ConfigError("rho and alpha must be positive")
-    n_z = (2 * lattice_radius + 1) ** q
-    if n_z > MAX_LATTICE_SIZE:
-        raise ConfigError(
-            f"repulsive-prior lattice too large: (2L+1)^q = {n_z:,} frequencies for "
-            f"q={q} event types at L={lattice_radius}, above the limit of "
-            f"{MAX_LATTICE_SIZE:,}; lower prior.dpp.lattice_radius"
-        )
     lattice = np.array(list(product(range(-lattice_radius, lattice_radius + 1), repeat=q)),
                        dtype=np.int64)
     sq = (lattice ** 2).sum(axis=1)
@@ -151,6 +154,7 @@ def model_for_data(data: Dataset, cfg: DppConfig, default_rho: float) -> DppSpec
     every coordinate, with ``mean_rate`` the pooled per-type event rate.
     """
     q = data.n_types
+    _check_lattice_size(q, cfg.lattice_radius)  # before a box of q coordinates is built
     if cfg.box_lo is not None:
         if len(cfg.box_lo) != q:
             raise ConfigError(f"config.prior.dpp.box_lo has {len(cfg.box_lo)} coordinates, "
@@ -180,8 +184,7 @@ def dpp_log_density(model: DppSpectralModel, points: np.ndarray) -> float:
     if np.any(points < model.box_lo) or np.any(points > model.box_hi):
         return -math.inf
     x = model.rescale(points)
-    gram = model.kernel(x, x)
-    sign, logdet = np.linalg.slogdet(gram)
+    sign, logdet = np.linalg.slogdet(model.gram(x))
     if sign <= 0 or not np.isfinite(logdet):
         return -math.inf
     return 1.0 - model.d_app + float(logdet)

@@ -11,7 +11,7 @@ from scipy.special import logsumexp
 from .backbone import FeatureSet
 from .core import ConfigError, Dataset, MixtureState
 
-__all__ = ["purity", "ari", "ell", "m_summary", "EvalResult"]
+__all__ = ["purity", "ari", "ell", "m_summary", "k_hist_json", "EvalResult"]
 
 
 def _as_labels(x) -> np.ndarray:
@@ -21,25 +21,23 @@ def _as_labels(x) -> np.ndarray:
     return x
 
 
-def purity(pred, truth) -> float:
-    """Fraction of points whose predicted cluster's majority truth label
-    matches their own: (1/N) sum_k max_j |pred_k intersect truth_j|."""
+def _contingency(pred, truth) -> np.ndarray:
+    """Counts |pred_k intersect truth_j| of two labellings; (n_pred, n_truth)."""
     pred, truth = _as_labels(pred), _as_labels(truth)
     if pred.size != truth.size:
         raise ConfigError("label vectors must have equal length")
-    total = 0
-    for p in np.unique(pred):
-        members = truth[pred == p]
-        total += int(np.unique(members, return_counts=True)[1].max())
-    return total / pred.size
-
-
-def _contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _, ai = np.unique(a, return_inverse=True)
-    _, bi = np.unique(b, return_inverse=True)
+    _, ai = np.unique(pred, return_inverse=True)
+    _, bi = np.unique(truth, return_inverse=True)
     table = np.zeros((ai.max() + 1, bi.max() + 1), dtype=np.int64)
     np.add.at(table, (ai, bi), 1)
     return table
+
+
+def purity(pred, truth) -> float:
+    """Fraction of points whose predicted cluster's majority truth label
+    matches their own: (1/N) sum_k max_j |pred_k intersect truth_j|."""
+    table = _contingency(pred, truth)
+    return int(table.max(axis=1).sum()) / int(table.sum())
 
 
 def ari(pred, truth) -> float:
@@ -49,9 +47,6 @@ def ari(pred, truth) -> float:
     perfect match (up to label permutation).  Degenerate cases where both
     labellings are single clusters (or both all-singletons) return 1.0.
     """
-    pred, truth = _as_labels(pred), _as_labels(truth)
-    if pred.size != truth.size:
-        raise ConfigError("label vectors must have equal length")
     table = _contingency(pred, truth)
 
     def comb2(x):
@@ -61,7 +56,7 @@ def ari(pred, truth) -> float:
     sum_cells = comb2(table).sum()
     sum_rows = comb2(table.sum(axis=1)).sum()
     sum_cols = comb2(table.sum(axis=0)).sum()
-    n_pairs = comb2(pred.size)
+    n_pairs = comb2(table.sum())
     expected = sum_rows * sum_cols / n_pairs if n_pairs else 0.0
     max_index = 0.5 * (sum_rows + sum_cols)
     if max_index == expected:
@@ -100,6 +95,11 @@ def m_summary(k_values) -> tuple[float, dict]:
     return float(ks.mean()), {int(v): int(c) for v, c in zip(vals, cnts)}
 
 
+def k_hist_json(k_hist: dict) -> dict:
+    """A k histogram as a JSON object: string keys in ascending k order."""
+    return {str(k): v for k, v in sorted(k_hist.items())}
+
+
 @dataclass
 class EvalResult:
     purity: float | None
@@ -114,7 +114,7 @@ class EvalResult:
             "ari": self.ari,
             "ell": self.ell,
             "k_mean": self.k_mean,
-            "k_hist": {str(k): v for k, v in sorted(self.k_hist.items())},
+            "k_hist": k_hist_json(self.k_hist),
         }
 
     def csv_row(self) -> str:

@@ -57,9 +57,8 @@ def _cluster_ascent(features: FeatureSet, idx: np.ndarray, mu: np.ndarray, a: np
     best = float(features.loglik_all(mu, a, idx).sum())
     scale = len(idx)  # emptied clusters were dropped, so every cluster has members
     for _ in range(cfg.gd_steps):
+        # mu >= _MU_FLOOR and a >= 0, so every rate is positive and the gradient exists
         gmu, ga = features.loglik_grad(mu, a, idx)
-        if ga is None:  # nonpositive rate: push mass up via the mu gradient only
-            ga = np.zeros_like(a)
         step = cfg.learning_rate
         for _ in range(5):
             mu_new = np.maximum(mu + step * gmu / scale, _MU_FLOOR)

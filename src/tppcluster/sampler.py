@@ -39,7 +39,7 @@ from .core import (
     PriorBundle,
 )
 from .dpp import DppSpectralModel, dpp_log_density, dpp_log_ratio
-from .metrics import m_summary
+from .metrics import k_hist_json, m_summary
 
 __all__ = [
     "SamplerConfig",
@@ -315,7 +315,6 @@ class PosteriorTrace:
 class RunReport:
     """Summary of one sampler run (JSON-friendly via ``to_dict``)."""
 
-    n_sequences: int
     iterations: int
     burn_in: int
     k_mean: float
@@ -331,27 +330,17 @@ class RunReport:
     wall_clock_sec: float
 
     def to_dict(self) -> dict:
-        def comps(cs):
-            return [{"mu": c.mu.tolist(), "w": c.w.tolist(), "r": c.r} for c in cs]
-
         return {
-            "n_sequences": self.n_sequences,
+            "n_sequences": self.map_state.c.size,
             "iterations": self.iterations,
             "burn_in": self.burn_in,
             "k_mean": self.k_mean,
-            "k_hist": {str(k): v for k, v in sorted(self.k_hist.items())},
+            "k_hist": k_hist_json(self.k_hist),
             "kl_mean": self.kl_mean,
             "acceptance": self.acceptance,
             "sgld_skipped": self.sgld_skipped,
-            "map": {
-                "iteration": self.map_iteration,
-                "log_joint": self.map_log_joint,
-                "labels": self.map_labels.tolist(),
-                "u": self.map_state.u,
-                "basis": self.map_state.basis.to_dict(),
-                "components": comps(self.map_state.allocated),
-                "spare_components": comps(self.map_state.non_allocated),
-            },
+            "map": {"iteration": self.map_iteration, "log_joint": self.map_log_joint,
+                    **self.map_state.to_dict()},
             "dpp": self.dpp_summary,
             "wall_clock_sec": self.wall_clock_sec,
         }
@@ -485,7 +474,6 @@ def run_sampler(data: Dataset, init: MixtureState, prior: PriorBundle,
         name: (cnt[0] / cnt[1] if cnt[1] else None) for name, cnt in accept.items()
     }
     report = RunReport(
-        n_sequences=len(data.sequences),
         iterations=config.iterations,
         burn_in=config.burn_in,
         k_mean=k_mean,

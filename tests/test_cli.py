@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import tppcluster.cli as cli
-from tppcluster.cli import FitConfig, _draw_m_init, _merge, _rle, _unrle, main, read_trace
+from tppcluster.cli import FitConfig, _draw_m_init, _merge, _rle, main
 from tppcluster.core import ConfigError, Dataset, EventSequence, NumericalError, read_jsonl, write_jsonl
 
 
@@ -144,11 +144,11 @@ def test_fit_writes_trace_and_report(tmp_path):
     assert report["eval_ids"]  # default eval fraction keeps a held-out split
     assert report["map"] is not None
     assert 1.0 <= report["k_mean"] <= 4.0
-    trace = read_trace(out / "trace.jsonl")
+    trace = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
     assert len(trace) == 20
     for rec in trace:
-        assert rec["labels"].size == len(report["train_ids"])
-        assert rec["k"] == len(rec["components"])
+        assert sum(count for _, count in rec["labels_rle"]) == len(report["train_ids"])
+        assert rec["k"] == len({label for label, _ in rec["labels_rle"]}) == len(rec["components"])
 
 
 def test_fit_rejects_bad_sampler_lengths(tmp_path, capsys):
@@ -260,13 +260,26 @@ def test_fit_rejects_mistyped_config(tmp_path, capsys, text, key):
 
 
 def test_fit_rejects_non_integer_labels(tmp_path, capsys):
-    for label in ('"x"', "1.5"):
+    for label in ('"x"', "1.5", str(10**30)):
         path = tmp_path / "labels.jsonl"
         path.write_text('{"id":"a","T":5.0,"label":0,"events":[{"t":0.5,"d":1}]}\n'
                         f'{{"id":"b","T":5.0,"label":{label},"events":[{{"t":1.0,"d":1}}]}}\n')
         assert main(["fit", "--data", str(path), "--out", str(tmp_path / "f")]) == 1
         err = capsys.readouterr().err
         assert f"{path}:2:" in err and "label must be an integer" in err
+
+
+def test_fit_refuses_a_large_alphabet_before_the_store(tmp_path, capsys, monkeypatch):
+    def store(*_args, **_kwargs):
+        raise AssertionError("the feature store was built")
+
+    monkeypatch.setattr(cli, "FeatureSet", store)
+    path = tmp_path / "wide.jsonl"
+    path.write_text('{"id":"a","T":5.0,"events":[{"t":0.5,"d":1},{"t":1.0,"d":10000}]}\n')
+    assert main(["fit", "--data", str(path), "--out", str(tmp_path / "f")]) == 1
+    err = capsys.readouterr().err
+    assert "(2L+1)^q = 5^10000 frequencies" in err and "prior.dpp.lattice_radius" in err
+    assert not (tmp_path / "f").exists()
 
 
 @pytest.mark.parametrize("text, problem", [
@@ -442,6 +455,11 @@ def test_eval_requires_matching_dataset(tmp_path, capsys):
         "short_w.json": lambda r: r["map"]["spare_components"].append(
             {**r["map"]["components"][0], "w": [[[0.1]]]}),
         "labels.json": lambda r: r["map"]["labels"].__setitem__(0, 99),
+        "u_true.json": lambda r: r["map"].update(u=True),
+        "u_string.json": lambda r: r["map"].update(u="1"),
+        "nan_mu.json": lambda r: r["map"]["components"][0]["mu"].__setitem__(0, math.nan),
+        "nan_sigma.json": lambda r: r["map"]["basis"].update(sigma=math.nan),
+        "huge_label.json": lambda r: r["map"]["labels"].__setitem__(0, 10**30),
         "train_ids.json": lambda r: r.update(train_ids=5),
         "eval_ids.json": lambda r: r.update(eval_ids=[[1]]),
     }
@@ -568,7 +586,8 @@ def test_label_run_length_coding():
     for labels in ([], [0], [0, 0, 1, 1, 1, 0], list(np.random.default_rng(0).integers(0, 3, 40))):
         arr = np.asarray(labels, dtype=np.int64)
         pairs = _rle(arr)
-        assert np.array_equal(_unrle(pairs), arr)
+        values, counts = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        assert np.array_equal(np.repeat(values, counts), arr)
         assert all(count >= 1 for _, count in pairs)
 
 

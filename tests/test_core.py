@@ -8,6 +8,7 @@ import pytest
 from scipy.special import gammaln
 
 from tppcluster.backbone import FeatureSet, hawkes_loglik
+from tppcluster.cli import FitConfig, run_fit
 from tppcluster.core import (
     BasisConfig,
     Component,
@@ -25,6 +26,7 @@ from tppcluster.core import (
 )
 from tppcluster.dpp import dpp_log_density, model_for_data
 from tppcluster.sampler import state_log_joint
+from tppcluster.simulate import build_hawkes_delta_dataset
 
 
 def _seq(times, types, horizon, **kw):
@@ -193,6 +195,36 @@ def test_state_violations():
     assert st.violations(3)
     assert MixtureState([], [], np.array([], dtype=int), 1.0,
                         _simple_state().basis).violations(0)
+
+
+def _assert_same_state(got: MixtureState, want: MixtureState):
+    assert np.array_equal(got.c, want.c) and got.c.dtype == np.int64
+    assert got.u == want.u
+    assert np.array_equal(got.basis.centers, want.basis.centers)
+    assert (got.basis.sigma, got.basis.tau_max) == (want.basis.sigma, want.basis.tau_max)
+    for g, w in ((got.allocated, want.allocated), (got.non_allocated, want.non_allocated)):
+        assert len(g) == len(w)
+        for a, b in zip(g, w):
+            assert a.mu.tobytes() == b.mu.tobytes() and a.w.tobytes() == b.w.tobytes()
+            assert a.r == b.r
+
+
+def test_state_json_round_trip():
+    rng = np.random.default_rng(5)
+    basis = BasisConfig(np.array([0.0, 0.7]), 0.35, 1.4)
+    comps = [Component(rng.uniform(0.5, 2.0, 2), rng.exponential(0.1, (2, 2, 2)),
+                       float(rng.gamma(3.0))) for _ in range(3)]
+    st = MixtureState(comps[:2], comps[2:], np.array([1, 0, 0, 1, 1]), float(rng.gamma(5.0)),
+                      basis)
+    _assert_same_state(MixtureState.from_dict(json.loads(json.dumps(st.to_dict())), 2, 5), st)
+    # a fit's report carries its point estimate in the same form
+    data = build_hawkes_delta_dataset(2, 1.0, n_per_cluster=4, horizon=5.0, seed=3)
+    cfg = FitConfig.resolve(None, {"eval_fraction": 0.0, "pretrain": {"m_init": 2},
+                                   "sampler": {"iterations": 8, "burn_in": 4}})
+    report = run_fit(data, cfg).report
+    rep = json.loads(json.dumps(report.to_dict()))
+    _assert_same_state(MixtureState.from_dict(rep["map"], data.n_types, len(data)),
+                       report.map_state)
 
 
 # ---------------------------------------------------------------------------

@@ -75,12 +75,11 @@ def test_kernel_matches_complex_expansion():
     m = helpers.small_dpp_model()
     rng = np.random.default_rng(31)
     x = rng.uniform(0, 1, size=(4, m.q))
-    y = rng.uniform(0, 1, size=(3, m.q))
     ang = 2.0 * math.pi * (x @ m.lattice.T)[:, None, :] - \
-        2.0 * math.pi * (y @ m.lattice.T)[None, :, :]
+        2.0 * math.pi * (x @ m.lattice.T)[None, :, :]
     complex_gram = np.einsum("mnz,z->mn", np.exp(1j * ang), m.phi_tilde.astype(complex))
     assert np.max(np.abs(complex_gram.imag)) < 1e-10
-    assert np.allclose(m.kernel(x, y), complex_gram.real, atol=1e-10)
+    assert np.allclose(m.gram(x), complex_gram.real, atol=1e-10)
 
 
 def test_extreme_length_scale_flattens_kernel(caplog):
@@ -91,7 +90,7 @@ def test_extreme_length_scale_flattens_kernel(caplog):
     assert any("clipping" in rec.message for rec in caplog.records)
     # only the zero frequency survives: the kernel is constant at phi_tilde(0)
     pts = np.array([[0.1], [0.9]])
-    k = m.kernel(pts, pts)
+    k = m.gram(pts)
     flat = (1.0 - 1e-6) / 1e-6
     assert np.allclose(k, flat, rtol=1e-3)
 
