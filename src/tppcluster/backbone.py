@@ -172,7 +172,8 @@ class FeatureSet:
     feature matrix times ``a`` as a ``(D, D·n_basis)`` matrix gives each
     event's excitation toward every target type, and each event keeps its
     own type's column.  A call on a subset ``idx`` cuts its rows to the
-    longest sequence in it, so every per-event block is ``(B, width)``.
+    longest sequence in it, so every per-event block is ``(B, width)``;
+    :meth:`take` keeps such a cut as a store of its own.
     """
 
     def __init__(self, data: Dataset, basis: BasisConfig):
@@ -217,31 +218,52 @@ class FeatureSet:
         np.add.at(self.comp.reshape(-1, nb), seq * D + types,
                   basis_integrals(basis, self.horizons[seq] - times))
 
+    def take(self, idx) -> "FeatureSet":
+        """The store of the sequences ``idx`` alone, its event slots cut to the
+        longest of them.  Its whole-store calls equal this store's calls on
+        ``idx`` bit for bit, without gathering the rows at every call."""
+        rows = self.rows(idx)
+        sub = FeatureSet.__new__(FeatureSet)
+        sub.n_types = self.n_types
+        sub.n_events, sub.horizons, sub.comp = self.n_events[idx], self.horizons[idx], self.comp[idx]
+        sub.types, sub.mask = self.types[rows], self.mask[rows]
+        sub.onehot, sub.excite = self.onehot[rows], self.excite[rows]
+        return sub
+
     # -- per-event rates ------------------------------------------------------
 
-    def _rows(self, idx):
+    def rows(self, idx):
         """Index of the event slots of sequences ``idx`` (all when None), cut to
-        the longest of them; every per-event block taken with it is (B, width)."""
+        the longest of them; every per-event block taken with it is (B, width),
+        and it cuts a whole-store excitation block to the block of ``idx``."""
         if idx is None:
             return np.s_[:, :]
         return np.s_[idx, : self.n_events[idx].max(initial=0)]
 
-    def _excitation(self, a: np.ndarray, excite: np.ndarray, types: np.ndarray) -> np.ndarray:
-        """sum_{d',j} a[d_i, d', j] * excite[i, d', j] for each event slot; (B, width)."""
+    def excitation(self, a: np.ndarray, idx) -> np.ndarray:
+        """Event-wise excitation sum_{d',j} a[d_i, d', j] * excite of the
+        sequences ``idx`` (all when None); shape (B, width), width the longest
+        of them, the block the ``x`` of the other calls takes."""
+        rows = self.rows(idx)
+        types = self.types[rows]
         D = self.n_types
         a2 = a.reshape(D, -1)
-        toward = excite.reshape(-1, a2.shape[1]) @ a2.T  # (B·width, D): every target type
+        # a contiguous right operand: BLAS reads it faster than the transposed
+        # view, with the same bits
+        toward = self.excite[rows].reshape(-1, a2.shape[1]) @ np.ascontiguousarray(a2.T)
         return toward.ravel().take(np.arange(0, toward.size, D) + types.ravel()).reshape(types.shape)
 
     # -- likelihood columns -------------------------------------------------
 
-    def loglik_all(self, mu: np.ndarray, a: np.ndarray, idx=None) -> np.ndarray:
-        """Per-sequence log likelihood under (mu, a); shape (N,) or (len(idx),)."""
-        rows = self._rows(idx)
+    def loglik_all(self, mu: np.ndarray, a: np.ndarray, idx=None, x=None) -> np.ndarray:
+        """Per-sequence log likelihood under (mu, a); shape (N,) or (len(idx),).
+
+        ``x`` is ``excitation(a, idx)`` when the caller already has it."""
+        rows = self.rows(idx)
         types, mask = self.types[rows], self.mask[rows]
         comp = self.comp if idx is None else self.comp[idx]
         horiz = self.horizons if idx is None else self.horizons[idx]
-        lam = mu[types] + self._excitation(a, self.excite[rows], types)
+        lam = mu[types] + (self.excitation(a, idx) if x is None else x)
         ok = lam > 0
         ev = np.log(lam, out=np.zeros_like(lam), where=mask & ok).sum(axis=1)
         col = a.sum(axis=0).ravel()  # (D·n_basis,): a source slot's weight on all targets
@@ -251,17 +273,10 @@ class FeatureSet:
 
     # -- base-rate move helpers ---------------------------------------------
 
-    def excitation(self, a: np.ndarray, idx) -> np.ndarray:
-        """Event-wise excitation sum_{d',j} a[d_i, d', j] * excite of the
-        sequences ``idx``, from the GEMM; shape (B, width), width the longest
-        of them, the layout :meth:`event_term` expects."""
-        rows = self._rows(idx)
-        return self._excitation(a, self.excite[rows], self.types[rows])
-
     def event_term(self, mu: np.ndarray, excitation: np.ndarray, idx) -> float:
         """Sum over the chosen sequences of event log-intensities for a given
         base-rate vector, reusing a precomputed excitation block."""
-        rows = self._rows(idx)
+        rows = self.rows(idx)
         lam = mu[self.types[rows]] + excitation
         mask = self.mask[rows]
         if np.any((lam <= 0) & mask):
@@ -270,31 +285,34 @@ class FeatureSet:
 
     # -- gradients ----------------------------------------------------------
 
-    def loglik_grad(self, mu: np.ndarray, a: np.ndarray, idx):
-        """Summed gradient of the log likelihood over sequences ``idx``; shapes
-        (D,), (D, D, n_basis), or None when some event rate is nonpositive
-        (invalid point).
+    def loglik_grad(self, mu: np.ndarray, a: np.ndarray, idx=None, x=None):
+        """Summed gradient of the log likelihood over sequences ``idx`` (all
+        when None); shapes (D,), (D, D, n_basis), or None when some event rate
+        is nonpositive (invalid point).  ``x`` is ``excitation(a, idx)`` when
+        the caller already has it.
 
         With ``W = onehot / lambda`` over the event slots, the ``mu`` part is
         the column sums of ``W`` and the ``a`` part the GEMM ``Wᵀ @ excite``.
         """
-        rows = self._rows(idx)
+        rows = self.rows(idx)
         types, mask, excite = self.types[rows], self.mask[rows], self.excite[rows]
-        lam = mu[types] + self._excitation(a, excite, types)
+        lam = mu[types] + (self.excitation(a, idx) if x is None else x)
         if np.any((lam <= 0) & mask):
             return None
         inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=mask)
         W = (self.onehot[rows] * inv[..., None]).reshape(-1, self.n_types)
         ga = (W.T @ excite.reshape(-1, a[0].size)).reshape(a.shape)
-        ga -= self.comp[idx].sum(axis=0)[None, :, :]
-        return W.sum(axis=0) - self.horizons[idx].sum(), ga
+        comp = self.comp if idx is None else self.comp[idx]
+        horiz = self.horizons if idx is None else self.horizons[idx]
+        ga -= comp.sum(axis=0)[None, :, :]
+        return W.sum(axis=0) - horiz.sum(), ga
 
-    def grad_a(self, mu: np.ndarray, a: np.ndarray, idx) -> np.ndarray | None:
+    def grad_a(self, mu: np.ndarray, a: np.ndarray, idx, x=None) -> np.ndarray | None:
         """Summed gradient of the log likelihood in ``a`` over sequences ``idx``.
 
         Returns None when some event rate is nonpositive (invalid point).
         """
-        grad = self.loglik_grad(mu, a, idx)
+        grad = self.loglik_grad(mu, a, idx, x)
         return None if grad is None else grad[1]
 
 

@@ -189,6 +189,8 @@ class BasisConfig:
             raise ConfigError(f"basis sigma must be positive and finite, got {self.sigma}")
         if not 0 < self.tau_max < math.inf:
             raise ConfigError(f"basis tau_max must be positive and finite, got {self.tau_max}")
+        if self.centers.size == 0:
+            raise ConfigError("basis needs at least one center")
         if not np.all((self.centers >= 0) & (self.centers <= self.tau_max)):
             raise ConfigError("basis centers must lie inside [0, tau_max]")
 
@@ -218,7 +220,10 @@ class BasisConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "BasisConfig":
-        return BasisConfig(np.asarray(d["centers"]), float(d["sigma"]), float(d["tau_max"]))
+        """The basis :meth:`to_dict` wrote; ValueError when a field is not JSON numbers."""
+        return BasisConfig(_numbers(d["centers"], "centers must be numbers"),
+                           float(_typed([d["sigma"]], _NUMBER, "sigma must be a number")[0]),
+                           float(_typed([d["tau_max"]], _NUMBER, "tau_max must be a number")[0]))
 
 
 @dataclass
@@ -354,20 +359,22 @@ class Component:
     mu : (D,) base rates; w : (D, D, n_basis) coefficients; r : gamma weight
     seed (mixture weight = r / sum of all r).  ``loglik_col`` caches the
     per-sequence log likelihood under this component and is dropped whenever
-    mu or w changes.
+    mu or w changes; ``excitation`` caches the whole feature store's
+    per-event excitation under w, shape (N, I_max), and is dropped whenever w
+    changes.  A copy carries neither.
     """
 
     mu: np.ndarray
     w: np.ndarray
     r: float
     loglik_col: np.ndarray | None = None
+    excitation: np.ndarray | None = None
 
     def params(self, basis: BasisConfig) -> HawkesParams:
         return HawkesParams(self.mu, self.w, basis)
 
     def copy(self) -> "Component":
-        col = None if self.loglik_col is None else self.loglik_col.copy()
-        return Component(self.mu.copy(), self.w.copy(), self.r, col)
+        return Component(self.mu.copy(), self.w.copy(), self.r)
 
 
 @dataclass
@@ -462,8 +469,8 @@ class MixtureState:
         basis = BasisConfig.from_dict(d["basis"])
 
         def component(c: dict) -> Component:
-            comp = Component(np.asarray(c["mu"], dtype=np.float64),
-                             np.asarray(c["w"], dtype=np.float64),
+            comp = Component(_numbers(c["mu"], "mu must be numbers"),
+                             _numbers(c["w"], "w must be numbers"),
                              float(_typed([c["r"]], _NUMBER, "r must be a number")[0]))
             if comp.mu.shape != (n_types,):
                 raise ValueError(f"component mu has shape {comp.mu.shape}, "
@@ -518,6 +525,13 @@ def _typed(vals: list, kinds: tuple, what: str) -> list:
         if type(val) not in kinds:
             raise ValueError(f"{what}, got {val!r}")
     return vals
+
+
+def _numbers(val, what: str) -> np.ndarray:
+    """A JSON number or (nested) list of them as a float64 array; ValueError
+    for any other entry, OverflowError for a number beyond float64."""
+    _typed(np.asarray(val, dtype=object).ravel().tolist(), _NUMBER, what)
+    return np.asarray(val, dtype=np.float64)
 
 
 def read_jsonl(path, n_types: int | None = None) -> Dataset:

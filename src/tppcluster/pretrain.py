@@ -53,19 +53,24 @@ def _cluster_ascent(features: FeatureSet, idx: np.ndarray, mu: np.ndarray, a: np
 
     Gradients are averaged per member so the step size is insensitive to the
     cluster size; backtracking halves the step until the objective improves.
+    The cluster's rows are gathered once, and the gradient at a point reuses
+    the excitation its objective was scored from.
     """
-    best = float(features.loglik_all(mu, a, idx).sum())
+    sub = features.take(idx)
+    x = sub.excitation(a, None)
+    best = float(sub.loglik_all(mu, a, x=x).sum())
     scale = len(idx)  # emptied clusters were dropped, so every cluster has members
     for _ in range(cfg.gd_steps):
         # mu >= _MU_FLOOR and a >= 0, so every rate is positive and the gradient exists
-        gmu, ga = features.loglik_grad(mu, a, idx)
+        gmu, ga = sub.loglik_grad(mu, a, x=x)
         step = cfg.learning_rate
         for _ in range(5):
             mu_new = np.maximum(mu + step * gmu / scale, _MU_FLOOR)
             a_new = np.maximum(a + step * ga / scale, 0.0)
-            cand = float(features.loglik_all(mu_new, a_new, idx).sum())
+            x_new = sub.excitation(a_new, None)
+            cand = float(sub.loglik_all(mu_new, a_new, x=x_new).sum())
             if cand > best:
-                mu, a, best = mu_new, a_new, cand
+                mu, a, x, best = mu_new, a_new, x_new, cand
                 break
             step *= 0.5
         else:  # no halving improved the objective

@@ -16,6 +16,10 @@ One sweep updates, in order:
    are repartitioned by occupancy;
 4. the auxiliary scalar u — Gamma(N, rate = sum of all r).
 
+Each component caches its per-event excitation under its coefficients, so
+the excitation GEMM runs once per value of w: reallocation computes it, and
+the next base-rate walk and Langevin step read their rows from it.
+
 Every Metropolis move exposes its proposal and acceptance log-ratio through a
 small info record so tests can replay it against the full log joint.
 """
@@ -112,6 +116,15 @@ class FitContext:
 # individual moves
 
 
+def _excitation(comp: Component, ctx: FitContext, idx=None) -> np.ndarray:
+    """``comp``'s excitation block of the sequences ``idx`` (all when None),
+    cut from the whole-store block it caches; computes the block when it has
+    none (a new or changed w, or a first sweep)."""
+    if comp.excitation is None:
+        comp.excitation = ctx.features.excitation(comp.w, None)
+    return comp.excitation if idx is None else comp.excitation[ctx.features.rows(idx)]
+
+
 def birth_death_move(state: MixtureState, ctx: FitContext, rng: np.random.Generator) -> dict:
     """One birth/death proposal on the non-allocated components.
 
@@ -165,7 +178,7 @@ def refresh_non_allocated(state: MixtureState, ctx: FitContext, rng: np.random.G
     for comp in state.non_allocated:
         comp.r = float(rng.exponential(1.0 / (1.0 + u)))
         comp.w = ctx.prior.w_sample(rng, comp.w.shape)
-        comp.loglik_col = None
+        comp.loglik_col = comp.excitation = None
 
 
 def update_allocated_mu(state: MixtureState, ctx: FitContext, rng: np.random.Generator) -> list[dict]:
@@ -190,7 +203,7 @@ def update_allocated_mu(state: MixtureState, ctx: FitContext, rng: np.random.Gen
             continue
         members = np.flatnonzero(state.c == m)
         delta_dpp = dpp_log_ratio(model, state.all_mu(), add=prop, remove=comp.mu)
-        x = ctx.features.excitation(comp.w, members)
+        x = _excitation(comp, ctx, members)
         horizon_sum = float(ctx.features.horizons[members].sum())
         delta_lik = (
             ctx.features.event_term(prop, x, members)
@@ -232,14 +245,14 @@ def sgld_update_w(state: MixtureState, ctx: FitContext, sweep: int,
         n_m = members.size
         b = min(sched.minibatch, n_m)
         batch = rng.choice(members, size=b, replace=False) if b < n_m else members
-        grad = ctx.features.grad_a(comp.mu, comp.w, batch)
+        grad = ctx.features.grad_a(comp.mu, comp.w, batch, _excitation(comp, ctx, batch))
         if grad is None or not np.all(np.isfinite(grad)):
             skipped += 1
             continue
         drift = -ctx.prior.beta_w + (n_m / b) * grad
         noise = rng.normal(0.0, math.sqrt(eps), size=comp.w.shape)
         comp.w = np.abs(comp.w + noise + 0.5 * eps * drift)
-        comp.loglik_col = None
+        comp.loglik_col = comp.excitation = None
     return {"eps": eps, "skipped": skipped}
 
 
@@ -248,7 +261,7 @@ def _component_columns(state: MixtureState, ctx: FitContext) -> np.ndarray:
     cols = np.empty((ctx.n, len(comps)))
     for j, comp in enumerate(comps):
         if comp.loglik_col is None:
-            comp.loglik_col = ctx.features.loglik_all(comp.mu, comp.w)
+            comp.loglik_col = ctx.features.loglik_all(comp.mu, comp.w, x=_excitation(comp, ctx))
         cols[:, j] = comp.loglik_col
     return cols
 

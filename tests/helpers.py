@@ -260,7 +260,6 @@ def mh_oracle_max_abs_diff(n_per_move=100, seed=4):
             counts["mu_walk"] += 1
             after = before.copy()
             after.allocated[info["m"]].mu = info["mu_prop"].copy()
-            after.allocated[info["m"]].loglik_col = None
             lj_after = joint(after)
             check(info["log_acc"], lj_after - lj_before)
             if info["accepted"]:

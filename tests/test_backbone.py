@@ -263,6 +263,31 @@ def test_featureset_event_term_consistency():
             assert ev - comp == pytest.approx(direct[idx].sum(), abs=1e-9), (D, name)
 
 
+def test_featureset_cached_blocks_and_sub_stores_keep_the_bits():
+    """The whole store's excitation block, cut to a subset's rows, is that
+    subset's block; scores and gradients from a given block, and from the
+    subset's own store ``take(idx)``, equal the subset calls bit for bit."""
+    for D in (1, 2, 3):
+        data, basis, mu, a, subsets = _subset_cases(D)
+        feats = FeatureSet(data, basis)
+        whole = feats.excitation(a, None)
+        assert whole.shape == feats.mask.shape
+        assert np.array_equal(feats.loglik_all(mu, a, x=whole), feats.loglik_all(mu, a))
+        full = feats.loglik_grad(mu, a, np.arange(len(data.sequences)))
+        for got, want in zip(feats.loglik_grad(mu, a), full):
+            assert np.array_equal(got, want), D
+        for name, idx in subsets.items():
+            x = feats.excitation(a, idx)
+            assert np.array_equal(whole[feats.rows(idx)], x), (D, name)
+            assert np.array_equal(feats.loglik_all(mu, a, idx, x), feats.loglik_all(mu, a, idx))
+            assert np.array_equal(feats.grad_a(mu, a, idx, x), feats.grad_a(mu, a, idx))
+            sub = feats.take(idx)
+            assert np.array_equal(sub.excitation(a, None), x), (D, name)
+            assert np.array_equal(sub.loglik_all(mu, a), feats.loglik_all(mu, a, idx))
+            for got, want in zip(sub.loglik_grad(mu, a), feats.loglik_grad(mu, a, idx)):
+                assert np.array_equal(got, want), (D, name)
+
+
 @settings(max_examples=40, deadline=None, database=None)
 @given(st.data())
 def test_featureset_matches_whole_history_reference(data):

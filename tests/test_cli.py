@@ -447,6 +447,12 @@ def test_eval_requires_matching_dataset(tmp_path, capsys):
                  "--out", str(tmp_path / "ey")]) == 1
     capsys.readouterr()
     rep = json.loads((fit / "report.json").read_text())
+
+    def no_centers(r):
+        r["map"]["basis"]["centers"] = []
+        for c in r["map"]["components"] + r["map"]["spare_components"]:
+            c["w"] = [[[] for _ in row] for row in c["w"]]
+
     edits = {
         "no_basis.json": lambda r: r["map"].pop("basis"),
         "k_mean.json": lambda r: r.update(k_mean="x"),
@@ -459,6 +465,16 @@ def test_eval_requires_matching_dataset(tmp_path, capsys):
         "u_string.json": lambda r: r["map"].update(u="1"),
         "nan_mu.json": lambda r: r["map"]["components"][0]["mu"].__setitem__(0, math.nan),
         "nan_sigma.json": lambda r: r["map"]["basis"].update(sigma=math.nan),
+        # numbers written as other JSON values: numpy would convert them
+        "sigma_true.json": lambda r: r["map"]["basis"].update(sigma=True),
+        "tau_max_string.json": lambda r: r["map"]["basis"].update(
+            tau_max=str(r["map"]["basis"]["tau_max"])),
+        "centers_string.json": lambda r: r["map"]["basis"].update(
+            centers=[str(c) for c in r["map"]["basis"]["centers"]]),
+        "mu_string.json": lambda r: r["map"]["components"][0].update(
+            mu=[str(v) for v in r["map"]["components"][0]["mu"]]),
+        "w_true.json": lambda r: r["map"]["components"][0]["w"][0][0].__setitem__(0, True),
+        "no_centers.json": no_centers,
         "huge_label.json": lambda r: r["map"]["labels"].__setitem__(0, 10**30),
         "train_ids.json": lambda r: r.update(train_ids=5),
         "eval_ids.json": lambda r: r.update(eval_ids=[[1]]),

@@ -1,5 +1,6 @@
 """Gibbs sweep moves and the posterior-sampler driver."""
 
+import hashlib
 import json
 import math
 
@@ -411,6 +412,86 @@ def test_repeat_runs_are_bit_identical():
         if sweep > cfg.burn_in:
             stored = sweep - cfg.burn_in - 1
             assert state.k == t1.k[stored] and np.array_equal(state.c, t1.labels[stored])
+
+
+def test_caches_follow_the_state():
+    """Driven move by move, every cached excitation block and likelihood
+    column equals a fresh computation from its component's current w and mu,
+    bit for bit; copies carry no cache."""
+    ctx, init = helpers._tiny_fit_context(1)
+    features = ctx.features
+    state = _canonicalize(init.copy())
+    rng = np.random.default_rng(np.random.SeedSequence(6))
+    moves = [
+        lambda sweep: birth_death_move(state, ctx, rng),
+        lambda sweep: refresh_non_allocated(state, ctx, rng),
+        lambda sweep: update_allocated_mu(state, ctx, rng),
+        lambda sweep: resample_allocated_r(state, rng),
+        lambda sweep: sgld_update_w(state, ctx, sweep, rng),
+        lambda sweep: resample_allocations(state, ctx, rng),
+        lambda sweep: resample_u(state, ctx, rng),
+    ]
+    refreshed = 0  # spares that reach the refresh holding a cache
+    for sweep in range(1, 16):
+        for move in moves:
+            if move is moves[1]:
+                refreshed += sum(c.excitation is not None for c in state.non_allocated)
+            move(sweep)
+            for comp in state.allocated + state.non_allocated:
+                if comp.excitation is not None:
+                    assert np.array_equal(comp.excitation, features.excitation(comp.w, None))
+                if comp.loglik_col is not None:
+                    assert np.array_equal(comp.loglik_col, features.loglik_all(comp.mu, comp.w))
+        # reallocation scored every component from its cache
+        assert all(c.excitation is not None and c.loglik_col is not None
+                   for c in state.allocated + state.non_allocated)
+    assert refreshed
+    assert all(c.excitation is None and c.loglik_col is None
+               for c in state.copy().allocated + state.copy().non_allocated)
+
+
+def test_fit_keeps_its_bytes(tmp_path, monkeypatch):
+    """A small CLI fit writes the same trace.jsonl and report.json (less its
+    clock and data path) as when these digests were first taken.  The fit
+    covers the branches a cache could get wrong: births, and base-rate
+    proposals that are accepted, rejected and outside the box."""
+    from tppcluster import sampler
+    from tppcluster.cli import main
+
+    seen = {"birth": 0, "accepted": 0, "rejected": 0, "outside": 0}
+    walk, birth_death = sampler.update_allocated_mu, sampler.birth_death_move
+
+    def counted_walk(*args):
+        infos = walk(*args)
+        for info in infos:
+            # an in-box proposal has a finite ratio: its rates are positive
+            kind = ("outside" if info["log_acc"] == -math.inf
+                    else "accepted" if info["accepted"] else "rejected")
+            seen[kind] += 1
+        return infos
+
+    def counted_birth_death(*args):
+        info = birth_death(*args)
+        seen["birth"] += info["kind"] == "birth" and info["accepted"]
+        return info
+
+    monkeypatch.setattr(sampler, "update_allocated_mu", counted_walk)
+    monkeypatch.setattr(sampler, "birth_death_move", counted_birth_death)
+    assert main(["simulate", "--recipe", "hawkes-delta", "--k", "2", "--delta", "1.0",
+                 "--n-per-cluster", "5", "--horizon", "5.0", "--seed", "11",
+                 "--out", str(tmp_path / "sim")]) == 0
+    assert main(["fit", "--data", str(tmp_path / "sim" / "dataset.jsonl"),
+                 "--iterations", "40", "--burn-in", "20", "--m-init", "2", "--seed", "2",
+                 "--out", str(tmp_path / "fit")]) == 0
+    assert all(seen.values()), seen
+    report = json.loads((tmp_path / "fit" / "report.json").read_text())
+    del report["wall_clock_sec"], report["data_path"]
+    digests = (hashlib.sha256((tmp_path / "fit" / "trace.jsonl").read_bytes()).hexdigest(),
+               hashlib.sha256(json.dumps(report).encode()).hexdigest())
+    assert digests == (
+        "200a20a22894f7d75a13c21a1cc38c26e7fcc3117ed71e62548120fd07cc49e5",
+        "c3c8fb06fac96a708ff3c1b011db174338b913ccb5ddc44ccc39c673b66431fd",
+    )
 
 
 def test_component_relabeling_does_not_change_the_chain():
