@@ -168,12 +168,11 @@ class FeatureSet:
 
     All heavy sampler arithmetic — likelihood columns over every sequence,
     minibatch gradients, base-rate proposal deltas — runs on these arrays.
-    The per-event excitation is one BLAS GEMM: the ``(B·width, D·n_basis)``
+    The per-event excitation is one BLAS GEMM: the ``(N·I_max, D·n_basis)``
     feature matrix times ``a`` as a ``(D, D·n_basis)`` matrix gives each
     event's excitation toward every target type, and each event keeps its
-    own type's column.  A call on a subset ``idx`` cuts its rows to the
-    longest sequence in it, so every per-event block is ``(B, width)``;
-    :meth:`take` keeps such a cut as a store of its own.
+    own type's column.  Every call scores the store it is called on: a
+    subset is ``take(idx)``; ``rows(idx)`` cuts a per-event block.
     """
 
     def __init__(self, data: Dataset, basis: BasisConfig):
@@ -188,7 +187,7 @@ class FeatureSet:
         # every event's sequence, position in it, and padded slot
         seq = np.repeat(np.arange(n), self.n_events)
         pos = np.arange(times.size) - (self.n_events.cumsum() - self.n_events)[seq]
-        imax = int(self.n_events.max(initial=1))
+        imax = int(self.n_events.max(initial=0))
         slot = seq * imax + pos
         self.types = np.zeros((n, imax), dtype=np.int64)
         self.types.reshape(-1)[slot] = types
@@ -220,8 +219,7 @@ class FeatureSet:
 
     def take(self, idx) -> "FeatureSet":
         """The store of the sequences ``idx`` alone, its event slots cut to the
-        longest of them.  Its whole-store calls equal this store's calls on
-        ``idx`` bit for bit, without gathering the rows at every call."""
+        longest of them: array for array, ``FeatureSet(data.subset(idx), basis)``."""
         rows = self.rows(idx)
         sub = FeatureSet.__new__(FeatureSet)
         sub.n_types = self.n_types
@@ -233,51 +231,43 @@ class FeatureSet:
     # -- per-event rates ------------------------------------------------------
 
     def rows(self, idx):
-        """Index of the event slots of sequences ``idx`` (all when None), cut to
-        the longest of them; every per-event block taken with it is (B, width),
-        and it cuts a whole-store excitation block to the block of ``idx``."""
-        if idx is None:
-            return np.s_[:, :]
+        """Index of the event slots of sequences ``idx``, cut to the longest of
+        them: it cuts a per-event block of this store, such as its excitation,
+        to the (B, width) block of ``take(idx)``."""
         return np.s_[idx, : self.n_events[idx].max(initial=0)]
 
-    def excitation(self, a: np.ndarray, idx) -> np.ndarray:
-        """Event-wise excitation sum_{d',j} a[d_i, d', j] * excite of the
-        sequences ``idx`` (all when None); shape (B, width), width the longest
-        of them, the block the ``x`` of the other calls takes."""
-        rows = self.rows(idx)
-        types = self.types[rows]
+    def excitation(self, a: np.ndarray) -> np.ndarray:
+        """Event-wise excitation sum_{d',j} a[d_i, d', j] * excite; shape
+        (N, I_max), the block the ``x`` of the other calls takes."""
+        types = self.types
         D = self.n_types
         a2 = a.reshape(D, -1)
         # a contiguous right operand: BLAS reads it faster than the transposed
         # view, with the same bits
-        toward = self.excite[rows].reshape(-1, a2.shape[1]) @ np.ascontiguousarray(a2.T)
+        toward = self.excite.reshape(-1, a2.shape[1]) @ np.ascontiguousarray(a2.T)
         return toward.ravel().take(np.arange(0, toward.size, D) + types.ravel()).reshape(types.shape)
 
     # -- likelihood columns -------------------------------------------------
 
-    def loglik_all(self, mu: np.ndarray, a: np.ndarray, idx=None, x=None) -> np.ndarray:
-        """Per-sequence log likelihood under (mu, a); shape (N,) or (len(idx),).
+    def loglik_all(self, mu: np.ndarray, a: np.ndarray, x=None) -> np.ndarray:
+        """Per-sequence log likelihood under (mu, a); shape (N,).
 
-        ``x`` is ``excitation(a, idx)`` when the caller already has it."""
-        rows = self.rows(idx)
-        types, mask = self.types[rows], self.mask[rows]
-        comp = self.comp if idx is None else self.comp[idx]
-        horiz = self.horizons if idx is None else self.horizons[idx]
-        lam = mu[types] + (self.excitation(a, idx) if x is None else x)
+        ``x`` is ``excitation(a)`` when the caller already has it."""
+        lam = mu[self.types] + (self.excitation(a) if x is None else x)
         ok = lam > 0
-        ev = np.log(lam, out=np.zeros_like(lam), where=mask & ok).sum(axis=1)
+        ev = np.log(lam, out=np.zeros_like(lam), where=self.mask & ok).sum(axis=1)
         col = a.sum(axis=0).ravel()  # (D·n_basis,): a source slot's weight on all targets
-        out = ev - horiz * mu.sum() - comp.reshape(-1, col.size) @ col
-        out[(mask & ~ok).any(axis=1)] = -np.inf
+        out = ev - self.horizons * mu.sum() - self.comp.reshape(-1, col.size) @ col
+        out[(self.mask & ~ok).any(axis=1)] = -np.inf
         return out
 
     # -- base-rate move helpers ---------------------------------------------
 
-    def event_term(self, mu: np.ndarray, excitation: np.ndarray, idx) -> float:
-        """Sum over the chosen sequences of event log-intensities for a given
-        base-rate vector, reusing a precomputed excitation block."""
+    def event_term(self, mu: np.ndarray, x: np.ndarray, idx) -> float:
+        """Sum over the sequences ``idx`` of event log-intensities for a given
+        base-rate vector, reusing their excitation block ``x``."""
         rows = self.rows(idx)
-        lam = mu[self.types[rows]] + excitation
+        lam = mu[self.types[rows]] + x
         mask = self.mask[rows]
         if np.any((lam <= 0) & mask):
             return -math.inf
@@ -285,34 +275,31 @@ class FeatureSet:
 
     # -- gradients ----------------------------------------------------------
 
-    def loglik_grad(self, mu: np.ndarray, a: np.ndarray, idx=None, x=None):
-        """Summed gradient of the log likelihood over sequences ``idx`` (all
-        when None); shapes (D,), (D, D, n_basis), or None when some event rate
-        is nonpositive (invalid point).  ``x`` is ``excitation(a, idx)`` when
-        the caller already has it.
+    def loglik_grad(self, mu: np.ndarray, a: np.ndarray, x=None):
+        """Summed gradient of the log likelihood over every sequence; shapes
+        (D,), (D, D, n_basis), or None when some event rate is nonpositive
+        (invalid point).  ``x`` is ``excitation(a)`` when the caller already
+        has it.
 
         With ``W = onehot / lambda`` over the event slots, the ``mu`` part is
         the column sums of ``W`` and the ``a`` part the GEMM ``Wᵀ @ excite``.
         """
-        rows = self.rows(idx)
-        types, mask, excite = self.types[rows], self.mask[rows], self.excite[rows]
-        lam = mu[types] + (self.excitation(a, idx) if x is None else x)
-        if np.any((lam <= 0) & mask):
+        lam = mu[self.types] + (self.excitation(a) if x is None else x)
+        if np.any((lam <= 0) & self.mask):
             return None
-        inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=mask)
-        W = (self.onehot[rows] * inv[..., None]).reshape(-1, self.n_types)
-        ga = (W.T @ excite.reshape(-1, a[0].size)).reshape(a.shape)
-        comp = self.comp if idx is None else self.comp[idx]
-        horiz = self.horizons if idx is None else self.horizons[idx]
-        ga -= comp.sum(axis=0)[None, :, :]
-        return W.sum(axis=0) - horiz.sum(), ga
+        inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=self.mask)
+        W = (self.onehot * inv[..., None]).reshape(-1, self.n_types)
+        ga = (W.T @ self.excite.reshape(-1, a[0].size)).reshape(a.shape)
+        ga -= self.comp.sum(axis=0)[None, :, :]
+        return W.sum(axis=0) - self.horizons.sum(), ga
 
     def grad_a(self, mu: np.ndarray, a: np.ndarray, idx, x=None) -> np.ndarray | None:
-        """Summed gradient of the log likelihood in ``a`` over sequences ``idx``.
-
-        Returns None when some event rate is nonpositive (invalid point).
+        """Summed gradient of the log likelihood in ``a`` over sequences ``idx``,
+        scored on ``take(idx)``; ``x`` is its excitation block when the caller
+        already has it.  Returns None when some event rate is nonpositive
+        (invalid point).
         """
-        grad = self.loglik_grad(mu, a, idx, x)
+        grad = self.take(idx).loglik_grad(mu, a, x)
         return None if grad is None else grad[1]
 
 

@@ -216,7 +216,7 @@ def _coerce(tp, val):
 def _draw_m_init(spec, rng: np.random.Generator) -> int:
     """The initial cluster count: ``spec`` itself, or a draw from its [lo, hi]
     range, which :class:`FitPretrainConfig` has checked."""
-    if isinstance(spec, (list, tuple)):
+    if isinstance(spec, tuple):
         return int(rng.integers(int(spec[0]), int(spec[1]) + 1))
     return int(spec)
 

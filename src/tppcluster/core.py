@@ -307,8 +307,10 @@ class DppConfig:
             raise ConfigError("dpp rho must be positive")
         if self.alpha <= 0:
             raise ConfigError("dpp alpha must be positive")
-        if self.lattice_radius < 0:
-            raise ConfigError("dpp lattice_radius must be >= 0")
+        # at L = 0 the one frequency gives a rank-one Gram matrix: any two
+        # base-rate vectors have density zero
+        if self.lattice_radius < 1:
+            raise ConfigError("dpp lattice_radius must be >= 1")
         if self.lo_factor <= 1 or self.hi_factor < 1:
             raise ConfigError("dpp box factors must satisfy lo_factor > 1, hi_factor >= 1")
         if (self.box_lo is None) != (self.box_hi is None):

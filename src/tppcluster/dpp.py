@@ -197,7 +197,8 @@ def dpp_log_ratio(model: DppSpectralModel, points: np.ndarray,
 
     ``remove`` is matched against ``points`` by exact coordinates.  The value
     is ``dpp_log_density(after) - dpp_log_density(before)``, with the added
-    point appended after the remaining ones.
+    point appended after the remaining ones; it is -inf whenever ``after``
+    has density zero, also when ``before`` has (where the difference is NaN).
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, model.q)
     after = points
@@ -209,4 +210,7 @@ def dpp_log_ratio(model: DppSpectralModel, points: np.ndarray,
         after = np.delete(after, match[0], axis=0)
     if add is not None:
         after = np.vstack([after, np.asarray(add, dtype=np.float64)[None, :]])
-    return dpp_log_density(model, after) - dpp_log_density(model, points)
+    log_after = dpp_log_density(model, after)
+    if log_after == -math.inf:
+        return -math.inf
+    return log_after - dpp_log_density(model, points)

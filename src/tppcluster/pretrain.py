@@ -57,7 +57,7 @@ def _cluster_ascent(features: FeatureSet, idx: np.ndarray, mu: np.ndarray, a: np
     the excitation its objective was scored from.
     """
     sub = features.take(idx)
-    x = sub.excitation(a, None)
+    x = sub.excitation(a)
     best = float(sub.loglik_all(mu, a, x=x).sum())
     scale = len(idx)  # emptied clusters were dropped, so every cluster has members
     for _ in range(cfg.gd_steps):
@@ -67,7 +67,7 @@ def _cluster_ascent(features: FeatureSet, idx: np.ndarray, mu: np.ndarray, a: np
         for _ in range(5):
             mu_new = np.maximum(mu + step * gmu / scale, _MU_FLOOR)
             a_new = np.maximum(a + step * ga / scale, 0.0)
-            x_new = sub.excitation(a_new, None)
+            x_new = sub.excitation(a_new)
             cand = float(sub.loglik_all(mu_new, a_new, x=x_new).sum())
             if cand > best:
                 mu, a, x, best = mu_new, a_new, x_new, cand

@@ -118,10 +118,10 @@ class FitContext:
 
 def _excitation(comp: Component, ctx: FitContext, idx=None) -> np.ndarray:
     """``comp``'s excitation block of the sequences ``idx`` (all when None),
-    cut from the whole-store block it caches; computes the block when it has
-    none (a new or changed w, or a first sweep)."""
+    cut with ``rows(idx)`` from the whole-store block it caches; computes the
+    block when it has none (a new or changed w, or a first sweep)."""
     if comp.excitation is None:
-        comp.excitation = ctx.features.excitation(comp.w, None)
+        comp.excitation = ctx.features.excitation(comp.w)
     return comp.excitation if idx is None else comp.excitation[ctx.features.rows(idx)]
 
 
@@ -196,7 +196,7 @@ def update_allocated_mu(state: MixtureState, ctx: FitContext, rng: np.random.Gen
     for m, comp in enumerate(state.allocated):
         step = cfg.s_mu * width * rng.standard_normal(model.q)
         prop = comp.mu + step
-        info = {"kind": "mu_walk", "m": m, "mu_old": comp.mu.copy(), "mu_prop": prop}
+        info = {"kind": "mu_walk", "m": m, "mu_prop": prop}
         if not model.in_box(prop):
             info.update(log_acc=-math.inf, accepted=False)
             infos.append(info)

@@ -216,9 +216,10 @@ def mh_oracle_max_abs_diff(n_per_move=100, seed=4):
 
     def check(lhs, rhs):
         nonlocal worst
-        if math.isinf(lhs) and math.isinf(rhs):
+        if math.isinf(lhs) and lhs == rhs:
             return
-        worst = max(worst, abs(lhs - rhs))
+        diff = abs(lhs - rhs)  # NaN when either side is; max() would keep worst past it
+        worst = math.inf if math.isnan(diff) else max(worst, diff)
 
     guard = 0
     while min(counts.values()) < n_per_move and guard < 4000:

@@ -231,9 +231,9 @@ def test_featureset_matches_per_sequence_loglik():
         direct = np.array([hawkes_loglik(p, s) for s in data.sequences])
         assert np.allclose(feats.loglik_all(mu, a), direct, atol=1e-10)
         for name, idx in subsets.items():
-            got = feats.loglik_all(mu, a, idx)
+            got = feats.take(idx).loglik_all(mu, a)
             assert np.allclose(got, direct[idx], atol=1e-10), (D, name)
-            assert feats.loglik_all(mu, a, idx).sum() == pytest.approx(direct[idx].sum())
+            assert got.sum() == pytest.approx(direct[idx].sum())
 
 
 def test_featureset_gradient_matches_per_sequence():
@@ -252,40 +252,42 @@ def test_featureset_event_term_consistency():
         feats = FeatureSet(data, basis)
         p = HawkesParams(mu, a, basis)
         direct = np.array([hawkes_loglik(p, s) for s in data.sequences])
+        whole = feats.excitation(a)
         for name, idx in subsets.items():
-            x = feats.excitation(a, idx)
+            x = whole[feats.rows(idx)]
             assert x.shape == (idx.size, feats.n_events[idx].max()), (D, name)
             ev = feats.event_term(mu, x, idx)
             comp = feats.horizons[idx].sum() * mu.sum() + float(
                 np.einsum("dj,ndj->", a.sum(axis=0), feats.comp[idx])
             )
-            assert ev - comp == pytest.approx(feats.loglik_all(mu, a, idx).sum(), abs=1e-9)
+            assert ev - comp == pytest.approx(feats.take(idx).loglik_all(mu, a).sum(), abs=1e-9)
             assert ev - comp == pytest.approx(direct[idx].sum(), abs=1e-9), (D, name)
 
 
 def test_featureset_cached_blocks_and_sub_stores_keep_the_bits():
-    """The whole store's excitation block, cut to a subset's rows, is that
-    subset's block; scores and gradients from a given block, and from the
-    subset's own store ``take(idx)``, equal the subset calls bit for bit."""
+    """A subset's own store ``take(idx)`` is the store built from the subset,
+    array for array; the whole store's excitation block, cut with
+    ``rows(idx)``, is that sub-store's block, and scores and gradients from a
+    given block equal those computed afresh, bit for bit."""
     for D in (1, 2, 3):
         data, basis, mu, a, subsets = _subset_cases(D)
         feats = FeatureSet(data, basis)
-        whole = feats.excitation(a, None)
+        whole = feats.excitation(a)
         assert whole.shape == feats.mask.shape
         assert np.array_equal(feats.loglik_all(mu, a, x=whole), feats.loglik_all(mu, a))
-        full = feats.loglik_grad(mu, a, np.arange(len(data.sequences)))
-        for got, want in zip(feats.loglik_grad(mu, a), full):
+        for got, want in zip(feats.loglik_grad(mu, a, whole), feats.loglik_grad(mu, a)):
             assert np.array_equal(got, want), D
         for name, idx in subsets.items():
-            x = feats.excitation(a, idx)
-            assert np.array_equal(whole[feats.rows(idx)], x), (D, name)
-            assert np.array_equal(feats.loglik_all(mu, a, idx, x), feats.loglik_all(mu, a, idx))
-            assert np.array_equal(feats.grad_a(mu, a, idx, x), feats.grad_a(mu, a, idx))
             sub = feats.take(idx)
-            assert np.array_equal(sub.excitation(a, None), x), (D, name)
-            assert np.array_equal(sub.loglik_all(mu, a), feats.loglik_all(mu, a, idx))
-            for got, want in zip(sub.loglik_grad(mu, a), feats.loglik_grad(mu, a, idx)):
-                assert np.array_equal(got, want), (D, name)
+            built = FeatureSet(data.subset(idx), basis)
+            for key in ("n_events", "horizons", "types", "mask", "onehot", "excite", "comp"):
+                got, want = getattr(sub, key), getattr(built, key)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (D, name, key)
+            x = whole[feats.rows(idx)]
+            assert np.array_equal(sub.excitation(a), x), (D, name)
+            assert np.array_equal(sub.loglik_all(mu, a, x), sub.loglik_all(mu, a))
+            assert np.array_equal(feats.grad_a(mu, a, idx, x), feats.grad_a(mu, a, idx))
+            assert np.array_equal(feats.grad_a(mu, a, idx), sub.loglik_grad(mu, a)[1]), (D, name)
 
 
 @settings(max_examples=40, deadline=None, database=None)

@@ -220,6 +220,8 @@ def test_fit_rejects_non_finite_times(tmp_path, capsys):
     ('{"prior": {"dpp": {"box_lo": 5, "box_hi": 6}}}', "config.prior.dpp.box_lo"),
     ('{"prior": {"dpp": {"lattice_radius": "2"}}}', "config.prior.dpp.lattice_radius"),
     ('{"prior": {"dpp": {"alpha": -1}}}', "config.prior.dpp"),
+    ('{"prior": {"dpp": {"lattice_radius": 0}}}',
+     "config.prior.dpp: dpp lattice_radius must be"),
     ('{"prior": {"dpp": {"box_lo": [0.1], "box_hi": [5.0]}}}', "config.prior.dpp.box_lo"),
     ('{"prior": {"dpp": {"box_lo": [0.1, 0.1, 0.1], "box_hi": [5.0, 5.0]}}}',
      "config.prior.dpp: dpp box_lo and box_hi must have equal"),
@@ -610,7 +612,9 @@ def test_label_run_length_coding():
 def test_draw_m_init():
     rng = np.random.default_rng(0)
     assert _draw_m_init(3, rng) == 3
-    draws = {_draw_m_init([2, 4], rng) for _ in range(200)}
+    spec = FitConfig.resolve(None, {"pretrain": {"m_init": [2, 4]}}).pretrain.m_init
+    assert spec == (2, 4)  # a resolved range is a tuple
+    draws = {_draw_m_init(spec, rng) for _ in range(200)}
     assert draws == {2, 3, 4}
     # a malformed range is rejected when the config resolves, before any draw
     for bad in ([4, 2], [1, 2, 3]):

@@ -60,7 +60,7 @@ VALID = {
     ("prior.beta_w",): _num(0, exclude_lo=True),
     ("prior.dpp.rho",): _opt(_num(0, exclude_lo=True)),
     ("prior.dpp.alpha",): _num(0, exclude_lo=True),
-    ("prior.dpp.lattice_radius",): st.integers(0, 10),
+    ("prior.dpp.lattice_radius",): st.integers(1, 10),
     ("prior.dpp.box_lo", "prior.dpp.box_hi"): _box(),
     ("prior.dpp.lo_factor",): _num(1, exclude_lo=True),
     ("prior.dpp.hi_factor",): _num(1),

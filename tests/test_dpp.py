@@ -119,6 +119,11 @@ def test_add_out_of_box_is_rejected():
     m = helpers.small_dpp_model()
     pts = np.array([[0.7, 0.9]])
     assert dpp_log_ratio(m, pts, add=np.array([2.5, 1.0])) == -math.inf
+    # from a configuration of density zero (a point taken three times) to
+    # another: -inf, not the NaN of -inf minus -inf
+    dup = np.repeat(pts, 3, axis=0)
+    assert dpp_log_density(m, dup) == -math.inf
+    assert dpp_log_ratio(m, dup, add=np.array([1.5, 1.1])) == -math.inf
 
 
 def test_remove_requires_membership():
@@ -196,6 +201,8 @@ def test_dpp_config_validation():
         DppConfig(alpha=-0.1)
     with pytest.raises(ConfigError):
         DppConfig(lattice_radius=-1)
+    with pytest.raises(ConfigError, match="lattice_radius must be >= 1"):
+        DppConfig(lattice_radius=0)  # one frequency: a rank-one Gram matrix
     with pytest.raises(ConfigError):
         DppConfig(lo_factor=1.0)
     with pytest.raises(ConfigError):

@@ -60,7 +60,7 @@ def test_cluster_gradient_matches_per_sequence():
     assert features.n_events[idx].max() < features.n_events[longest]
     rng = np.random.default_rng(3)
     mu, a = rng.uniform(0.5, 1.5, size=2), rng.uniform(0.0, 0.3, size=(2, 2, 3))
-    gmu, ga = features.loglik_grad(mu, a, idx)
+    gmu, ga = features.take(idx).loglik_grad(mu, a)
     per_seq = [hawkes_loglik_grad(HawkesParams(mu, a, basis), data.sequences[i]) for i in idx]
     assert np.allclose(gmu, sum(g[0] for g in per_seq), rtol=0, atol=1e-10)
     assert np.allclose(ga, sum(g[1] for g in per_seq), rtol=0, atol=1e-10)

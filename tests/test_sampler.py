@@ -439,7 +439,7 @@ def test_caches_follow_the_state():
             move(sweep)
             for comp in state.allocated + state.non_allocated:
                 if comp.excitation is not None:
-                    assert np.array_equal(comp.excitation, features.excitation(comp.w, None))
+                    assert np.array_equal(comp.excitation, features.excitation(comp.w))
                 if comp.loglik_col is not None:
                     assert np.array_equal(comp.loglik_col, features.loglik_all(comp.mu, comp.w))
         # reallocation scored every component from its cache
