@@ -230,19 +230,11 @@ class FitResult:
     m_init: int
 
 
-_MAX_SHOWN = 5  # dataset violations listed in one error line
-
-
 def run_fit(data: Dataset, cfg: FitConfig) -> FitResult:
     """Full pipeline on an in-memory dataset: split, pretrain, sample."""
     problems = core.validate_dataset(data)
-    if not problems and data.n_events == 0:
-        problems.append("dataset contains no events")
     if problems:
-        shown = problems[:_MAX_SHOWN]
-        if len(problems) > _MAX_SHOWN:
-            shown.append(f"… and {len(problems) - _MAX_SHOWN} more")
-        raise ConfigError("invalid dataset: " + "; ".join(shown))
+        raise ConfigError("invalid dataset: " + "; ".join(problems))
     seeds = np.random.SeedSequence(cfg.seed).generate_state(4)
     n = len(data.sequences)
 
@@ -398,9 +390,9 @@ def cmd_fit(args) -> int:
     file_cfg = _read_json(Path(args.config), "config file") if args.config else None
     m_init = None
     if args.m_init is not None:
-        lo, _, hi = args.m_init.partition(":")
+        lo, colon, hi = args.m_init.partition(":")
         try:
-            m_init = [int(lo), int(hi)] if hi else int(lo)
+            m_init = [int(lo), int(hi)] if colon else int(lo)
         except ValueError:
             raise ConfigError(
                 f"--m-init must be an integer or lo:hi range, got {args.m_init!r}"

@@ -58,8 +58,9 @@ class DegenerateModelError(NumericalError):
 class EventSequence:
     """A single event sequence observed on ``(0, horizon]``.
 
-    times : (I,) float64, strictly increasing, 0 < t <= horizon
-    types : (I,) int64, 0-based event-type marks
+    times : (I,) float64, finite, strictly increasing, 0 < t <= horizon
+    types : (I,) int64, 0-based event-type marks, >= 0
+    horizon : positive and finite; a broken rule raises ConfigError("<id>: <rule>")
     """
 
     times: np.ndarray
@@ -72,44 +73,42 @@ class EventSequence:
         object.__setattr__(self, "times", np.asarray(self.times, dtype=np.float64))
         object.__setattr__(self, "types", np.asarray(self.types, dtype=np.int64))
         object.__setattr__(self, "horizon", float(self.horizon))
+        sid = self.id or "<unnamed>"
+        if not (0 < self.horizon < math.inf):
+            raise ConfigError(f"{sid}: horizon must be positive and finite, got {self.horizon}")
+        if self.times.shape != self.types.shape:
+            raise ConfigError(f"{sid}: times/types length mismatch")
+        t = self.times
+        if t.size:
+            if not np.isfinite(t).all():
+                raise ConfigError(f"{sid}: non-finite event timestamp")
+            if (t[1:] <= t[:-1]).any():
+                raise ConfigError(f"{sid}: timestamps not strictly increasing")
+            if t[0] <= 0 or t[-1] > self.horizon:
+                raise ConfigError(f"{sid}: event times outside (0, {self.horizon}]")
+            if self.types.min() < 0:
+                raise ConfigError(f"{sid}: negative event type")
 
     @property
     def n_events(self) -> int:
         return int(self.times.size)
 
-    def violations(self, n_types: int | None = None) -> list[str]:
-        """Human-readable list of contract violations (empty when valid)."""
-        out = []
-        sid = self.id or "<unnamed>"
-        if not (0 < self.horizon < math.inf):
-            out.append(f"{sid}: horizon must be positive and finite, got {self.horizon}")
-        if self.times.shape != self.types.shape:
-            out.append(f"{sid}: times/types length mismatch")
-            return out
-        if self.n_events:
-            if not np.all(np.isfinite(self.times)):
-                out.append(f"{sid}: non-finite event timestamp")
-            if np.any(np.diff(self.times) <= 0):
-                out.append(f"{sid}: timestamps not strictly increasing")
-            if self.times[0] <= 0 or self.times[-1] > self.horizon:
-                out.append(f"{sid}: event times outside (0, {self.horizon}]")
-            if self.types.min() < 0:
-                out.append(f"{sid}: negative event type")
-            if n_types is not None and self.types.size and self.types.max() >= n_types:
-                out.append(
-                    f"{sid}: event type {int(self.types.max()) + 1} exceeds "
-                    f"declared type count {n_types}"
-                )
-        return out
-
 
 @dataclass
 class Dataset:
-    """A collection of sequences sharing one event-type alphabet."""
+    """Sequences sharing an alphabet of ``n_types >= 1`` marks (checked when built)."""
 
     sequences: list[EventSequence]
     n_types: int
     metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.n_types < 1:
+            raise ConfigError(f"n_types must be >= 1, got {self.n_types}")
+        for seq in self.sequences:
+            if seq.n_events and seq.types.max() >= self.n_types:
+                raise ConfigError(f"{seq.id or '<unnamed>'}: event type {seq.types.max() + 1} "
+                                  f"exceeds declared type count {self.n_types}")
 
     def __len__(self) -> int:
         return len(self.sequences)
@@ -148,20 +147,13 @@ class Dataset:
 
 
 def validate_dataset(data: Dataset) -> list[str]:
-    """Collect all contract violations of a dataset.
-
-    Returns an empty list when the dataset is well formed.  Checks: at least
-    one sequence, positive finite horizons, finite strictly increasing
-    timestamps inside (0, T], and event types within the declared alphabet.
-    """
-    out = []
-    if data.n_types < 1:
-        out.append(f"n_types must be >= 1, got {data.n_types}")
-    if len(data.sequences) == 0:
-        out.append("dataset contains no sequences")
-    for seq in data.sequences:
-        out.extend(seq.violations(data.n_types))
-    return out
+    """What a fit needs beyond the contract the types enforce: a sequence and
+    an event.  Returns an empty list when the dataset can be fitted."""
+    if not data.sequences:
+        return ["dataset contains no sequences"]
+    if data.n_events == 0:
+        return ["dataset contains no events"]
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -540,10 +532,12 @@ def read_jsonl(path, n_types: int | None = None) -> Dataset:
     """Read a JSON-lines dataset.
 
     ``T`` and every ``t`` must be JSON numbers, every ``d`` a JSON integer,
-    and ids unique JSON strings (``line-<n>`` when absent).  When ``n_types``
-    is omitted the alphabet size is inferred as the largest observed mark (a
-    sidecar metadata file, when present, is the more robust source and is
-    handled by the CLI layer).  An unreadable file raises ConfigError too.
+    and ids unique JSON strings (``line-<n>`` when absent); a record that
+    breaks the :class:`EventSequence` contract is ``file:line: bad record``.
+    When ``n_types`` is omitted the alphabet size is inferred as the largest
+    observed mark (a sidecar metadata file, when present, is the more robust
+    source and is handled by the CLI layer).  An unreadable file raises
+    ConfigError too.
     """
     path = Path(path)
     sequences = []
@@ -586,4 +580,7 @@ def read_jsonl(path, n_types: int | None = None) -> Dataset:
             if seq.n_events:
                 max_d = max(max_d, int(seq.types.max()) + 1)
             sequences.append(seq)
-    return Dataset(sequences, n_types if n_types is not None else max(max_d, 1))
+    try:
+        return Dataset(sequences, n_types if n_types is not None else max(max_d, 1))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None

@@ -119,7 +119,8 @@ def build_spectral_model(q: int, lattice_radius: int, rho: float, alpha: float,
     The existence condition for the Gaussian spectral density is
     ``rho * (sqrt(pi) * alpha)^q < 1``; when violated the density is clipped
     just below one (with a warning) which flattens repulsion toward a
-    near-independent prior rather than failing.
+    near-independent prior rather than failing.  A density that overflows a
+    float is a ConfigError.
     """
     _check_lattice_size(q, lattice_radius)
     box_lo = np.atleast_1d(np.asarray(box_lo, dtype=np.float64))
@@ -133,7 +134,15 @@ def build_spectral_model(q: int, lattice_radius: int, rho: float, alpha: float,
     lattice = np.array(list(product(range(-lattice_radius, lattice_radius + 1), repeat=q)),
                        dtype=np.int64)
     sq = (lattice ** 2).sum(axis=1)
-    phi = rho * (math.sqrt(math.pi) * alpha) ** q * np.exp(-(math.pi * alpha) ** 2 * sq)
+    try:  # phi = c * exp(-s * |z|^2), with c and s in Python floats
+        c = float(rho) * (math.sqrt(math.pi) * float(alpha)) ** q
+        s = (math.pi * float(alpha)) ** 2
+    except OverflowError:
+        c = s = math.inf
+    if not (math.isfinite(c) and math.isfinite(s * q * lattice_radius ** 2)):
+        raise ConfigError(f"repulsive-prior spectral density overflows at prior.dpp.rho={rho:g}, "
+                          f"prior.dpp.alpha={alpha:g} for q={q} event types; lower rho or alpha")
+    phi = c * np.exp(-s * sq)
     clipped = bool(np.any(phi >= _PHI_CLIP))
     if clipped:
         log.warning(
@@ -173,8 +182,10 @@ def dpp_log_density(model: DppSpectralModel, points: np.ndarray) -> float:
     """Log density of a configuration of base-rate vectors (raw coordinates).
 
     Empty configurations are allowed (density exp(1 - D_app)); configurations
-    with a point outside the box or with a singular Gram matrix (for example
-    duplicated points) have density zero.
+    with a point outside the box or with a singular Gram matrix have density
+    zero.  Duplicated points are not certain to: the Gram matrix is built by
+    GEMM, so two equal rows can differ in their last bits and leave a large
+    negative but finite value.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.size == 0:

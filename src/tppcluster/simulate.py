@@ -47,8 +47,8 @@ def thinning_sample(model, horizon: float, rng: np.random.Generator,
     The history lives in two buffers that double when full; the model sees
     the accepted events as ascending ``[:n]`` views of them.
     """
-    if not (math.isfinite(horizon) and horizon >= 0):
-        raise ConfigError(f"horizon must be a finite nonnegative number, got {horizon}")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ConfigError(f"horizon must be a finite positive number, got {horizon}")
     times = np.empty(64)
     types = np.empty(64, dtype=np.int64)
     n = 0
@@ -102,8 +102,6 @@ def sample_mixture(components: list, horizon: float, n_per_component: int, seed:
     RNG substreams keep every sequence reproducible independently of the others."""
     if not components:
         raise ConfigError("mixture needs at least one component")
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise ConfigError(f"mixture horizon must be finite and positive, got {horizon}")
     if n_per_component < 1:
         raise ConfigError(f"n_per_component must be >= 1, got {n_per_component}")
     if len({m.n_types for m in components}) != 1:

@@ -33,7 +33,7 @@ def test_traced_fit_and_kernels_run_on_the_package(tmp_path):
         tracer.restore()
     assert cli.run_sampler is sampler.run_sampler  # every wrapper is undone
     names = {span[0] for span in tracer.spans}
-    assert {"pretrain", "sampler", "core.read_jsonl", "backbone.features",
+    assert {"pretrain", "sampler", "core.read_jsonl", "core.validate", "backbone.features",
             "sampler.mu_walk", "dpp.log_density"} <= names
     assert tracer.counts["mu_walk_attempts"] > 0
 

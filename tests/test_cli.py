@@ -188,7 +188,7 @@ def test_fit_rejects_removed_s_w_key(tmp_path, capsys):
 
 def test_fit_rejects_malformed_m_init(tmp_path, capsys):
     sim = _simulate(tmp_path)
-    for bad in ("x", "2:y"):
+    for bad in ("x", "2:y", "3:", ":3"):
         rc = main(["fit", "--data", str(sim / "dataset.jsonl"), "--m-init", bad,
                    "--out", str(tmp_path / "m")])
         assert rc == 1
@@ -209,7 +209,7 @@ def test_fit_rejects_non_finite_times(tmp_path, capsys):
                    "--out", str(tmp_path / sid)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "invalid dataset" in err and sid in err
+        assert f"{path}:2: bad record ({sid}: " in err
 
 
 @pytest.mark.parametrize("text, key", [
@@ -243,7 +243,11 @@ def test_fit_rejects_non_finite_times(tmp_path, capsys):
     ('{"basis": {"tau_max": -1.0}}', "config.basis"),
     ('{"basis": {"sigma": 0}}', "config.basis"),
     ('{"data": {"n_types": 0}}', "config.data: n_types must be >= 1, got"),
-    ('{"data": {"n_types": 2}}', "invalid dataset"),
+    ('{"data": {"n_types": 2}}', "{data}: s0: event type 3"),
+    ('{"prior": {"dpp": {"alpha": 1e308}}}', "repulsive-prior spectral density overflows "
+     "at prior.dpp.rho=4, prior.dpp.alpha=1e+308 for q=3"),
+    ('{"prior": {"dpp": {"rho": 1e308, "alpha": 10}}}', "repulsive-prior spectral density "
+     "overflows at prior.dpp.rho=1e+308, prior.dpp.alpha=10 for q=3"),
 ])
 def test_fit_rejects_mistyped_config(tmp_path, capsys, text, key):
     cfg = tmp_path / "cfg.json"
@@ -255,10 +259,9 @@ def test_fit_rejects_mistyped_config(tmp_path, capsys, text, key):
     assert main(["fit", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == 1
     assert not out.exists()  # a rejected fit writes nothing, resolved_config.json included
     err = capsys.readouterr().err.splitlines()
+    key = key.format(data=data)
     assert len(err) == 1 and re.match(rf"error: {re.escape(key)}[ :]", err[0]), err
-    assert len(err[0]) < 500, err  # a long list of violations is cut short
-    if key == "invalid dataset":
-        assert err[0].endswith("; … and 3 more"), err
+    assert len(err[0]) < 500, err  # one problem per message, not a list
 
 
 def test_fit_rejects_non_integer_labels(tmp_path, capsys):
@@ -502,6 +505,43 @@ def test_eval_requires_matching_dataset(tmp_path, capsys):
     assert (f"error: {dup}:6: duplicate sequence id 'seq-0000' (first on line 1)"
             in capsys.readouterr().err)
     assert not (tmp_path / "ed").exists()
+
+
+def test_eval_rejects_a_held_out_sequence_that_breaks_the_contract(tmp_path, capsys):
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--recipe", "hawkes-delta", "--k", "2", "--delta", "1",
+                 "--n-per-cluster", "4", "--seed", "1", "--out", str(sim)]) == 0
+    fit = tmp_path / "fit"
+    assert main(["fit", "--data", str(sim / "dataset.jsonl"), "--iterations", "6",
+                 "--burn-in", "3", "--m-init", "2", "--out", str(fit)]) == 0
+    assert json.loads((fit / "report.json").read_text())["eval_ids"] == ["seq-0005", "seq-0006"]
+    lines = (sim / "dataset.jsonl").read_text().splitlines()
+    sidecar = (sim / "dataset.meta.json").read_text()
+
+    def swap(ev, _):
+        ev[0]["t"], ev[1]["t"] = ev[1]["t"], ev[0]["t"]
+
+    probes = {  # an edit of seq-0005 (line 6), and the error it must give
+        "unsorted": (swap, ":6: bad record (seq-0005: timestamps not strictly increasing)"),
+        "late": (lambda ev, T: ev[-1].update(t=T + 5),
+                 ":6: bad record (seq-0005: event times outside (0, 10.0])"),
+        "zero_mark": (lambda ev, _: ev[0].update(d=0),
+                      ":6: bad record (seq-0005: negative event type)"),
+        "wide_mark": (lambda ev, _: ev[0].update(d=9),
+                      ": seq-0005: event type 9 exceeds declared type count 3"),
+    }
+    capsys.readouterr()
+    for name, (edit, problem) in probes.items():
+        rec = json.loads(lines[5])
+        edit(rec["events"], rec["T"])
+        bad = tmp_path / f"{name}.jsonl"
+        bad.write_text("\n".join(lines[:5] + [json.dumps(rec)] + lines[6:]) + "\n")
+        (tmp_path / f"{name}.meta.json").write_text(sidecar)
+        out = tmp_path / f"ev_{name}"
+        assert main(["eval", "--report", str(fit / "report.json"), "--data", str(bad),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {bad}{problem}\n"
+        assert not (out / "metrics.json").exists()
 
 
 # ---------------------------------------------------------------------------

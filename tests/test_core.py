@@ -40,18 +40,24 @@ def _seq(times, types, horizon, **kw):
 def test_sequence_valid():
     s = _seq([0.5, 1.0, 2.5], [0, 1, 0], 3.0, id="s0", label=1)
     assert s.n_events == 3
-    assert s.violations(2) == []
+    assert Dataset([s], 2).sequences == [s]
 
 
 def test_sequence_violations():
-    assert _seq([1.0, 1.0], [0, 0], 3.0).violations()  # not strictly increasing
-    assert _seq([2.0, 1.0], [0, 0], 3.0).violations()  # decreasing
-    assert _seq([0.0], [0], 3.0).violations()          # at the open left end
-    assert _seq([3.5], [0], 3.0).violations()          # beyond the horizon
-    assert _seq([1.0], [-1], 3.0).violations()         # negative mark
-    assert _seq([1.0], [2], 3.0).violations(2)         # mark outside alphabet
-    assert _seq([], [], 0.0).violations()              # nonpositive horizon
-    assert _seq([1.0], [1], 3.0).violations(2) == []   # boundary mark is fine
+    for times, types, horizon, rule in (
+        ([1.0, 1.0], [0, 0], 3.0, "timestamps not strictly increasing"),
+        ([2.0, 1.0], [0, 0], 3.0, "timestamps not strictly increasing"),  # decreasing
+        ([0.0], [0], 3.0, r"event times outside \(0, 3.0\]"),  # at the open left end
+        ([3.5], [0], 3.0, r"event times outside \(0, 3.0\]"),  # beyond the horizon
+        ([1.0], [-1], 3.0, "negative event type"),
+        ([], [], 0.0, "horizon must be positive and finite, got 0.0"),
+        ([1.0, math.nan], [0, 0], 3.0, "non-finite event timestamp"),
+        ([1.0], [0, 0], 3.0, "times/types length mismatch"),
+    ):
+        with pytest.raises(ConfigError, match=rf"^s0: {rule}"):
+            _seq(times, types, horizon, id="s0")
+    with pytest.raises(ConfigError, match="^<unnamed>: negative event type"):
+        _seq([1.0], [-1], 3.0)
 
 
 def test_dataset_summaries():
@@ -74,9 +80,15 @@ def test_dataset_labels_and_subset():
 def test_validate_dataset():
     good = Dataset([_seq([1.0], [0], 2.0)], 1)
     assert validate_dataset(good) == []
-    assert validate_dataset(Dataset([], 1))
-    assert validate_dataset(Dataset([_seq([1.0], [3], 2.0)], 2))
-    assert validate_dataset(Dataset([good.sequences[0]], 0))
+    assert validate_dataset(Dataset([], 1)) == ["dataset contains no sequences"]
+    assert validate_dataset(Dataset([_seq([], [], 2.0)], 1)) == ["dataset contains no events"]
+    for mark in (2, 3):  # marks outside the alphabet
+        with pytest.raises(ConfigError,
+                           match=f"^s0: event type {mark + 1} exceeds declared type count 2"):
+            Dataset([good.sequences[0], _seq([1.0], [mark], 2.0, id="s0")], 2)
+    with pytest.raises(ConfigError, match="^n_types must be >= 1, got 0"):
+        Dataset([good.sequences[0]], 0)
+    Dataset([_seq([1.0], [1], 3.0)], 2)  # the boundary mark builds
 
 
 # ---------------------------------------------------------------------------

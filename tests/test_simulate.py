@@ -50,13 +50,8 @@ def test_interarrival_distribution_pure_birth():
     assert p > 0.01
 
 
-def test_zero_horizon_yields_empty_sequence():
-    seq = thinning_sample(HomogeneousPoisson([5.0]), 0.0, np.random.default_rng(0))
-    assert seq.n_events == 0
-
-
 def test_negative_horizon_rejected():
-    for horizon in (-1.0, math.nan, math.inf):
+    for horizon in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ConfigError, match="horizon"):
             thinning_sample(HomogeneousPoisson([1.0]), horizon, np.random.default_rng(0))
 
