@@ -16,9 +16,11 @@ where D_app = sum_z log(1 + phi_tilde(z)).  Larger ``alpha`` repels over
 longer distances; ``rho`` controls the expected number of points.
 
 The Gram matrix is assembled from per-point cosine and sine features of the
-lattice frequencies; a density ratio is the difference of two full
-log-densities.  The lattice has (2L+1)^q frequencies; models with more than
-``MAX_LATTICE_SIZE`` are refused.
+lattice frequencies.  A density ratio is the difference of two full
+log-densities; given a memo of the densities its last call computed, it
+computes only the ones it has not seen, so a chain that proposes from an
+unchanged configuration prices each move with one density.  The lattice has
+(2L+1)^q frequencies; models with more than ``MAX_LATTICE_SIZE`` are refused.
 """
 
 from __future__ import annotations
@@ -203,13 +205,21 @@ def dpp_log_density(model: DppSpectralModel, points: np.ndarray) -> float:
 
 def dpp_log_ratio(model: DppSpectralModel, points: np.ndarray,
                   add: np.ndarray | None = None,
-                  remove: np.ndarray | None = None) -> float:
+                  remove: np.ndarray | None = None,
+                  memo: dict[bytes, float] | None = None) -> float:
     """Log-density change of adding and/or removing one point.
 
     ``remove`` is matched against ``points`` by exact coordinates.  The value
     is ``dpp_log_density(after) - dpp_log_density(before)``, with the added
     point appended after the remaining ones; it is -inf whenever ``after``
     has density zero, also when ``before`` has (where the difference is NaN).
+
+    ``memo`` maps the bytes of a configuration's ``(M, q)`` array, in order,
+    to its log density under ``model``; a configuration found there is not
+    recomputed, so the value is the one those bytes gave before, bit for
+    bit.  A reordered configuration has other bytes and is recomputed.  On
+    return the memo holds the configurations this call evaluated, at most
+    two.  Without a memo both densities are computed.
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, model.q)
     after = points
@@ -221,7 +231,16 @@ def dpp_log_ratio(model: DppSpectralModel, points: np.ndarray,
         after = np.delete(after, match[0], axis=0)
     if add is not None:
         after = np.vstack([after, np.asarray(add, dtype=np.float64)[None, :]])
-    log_after = dpp_log_density(model, after)
-    if log_after == -math.inf:
-        return -math.inf
-    return log_after - dpp_log_density(model, points)
+    known = {} if memo is None else memo
+    seen: dict[bytes, float] = {}
+
+    def density(x: np.ndarray) -> float:
+        key = x.tobytes()
+        seen[key] = known[key] if key in known else dpp_log_density(model, x)
+        return seen[key]
+
+    log_after = density(after)
+    ratio = -math.inf if log_after == -math.inf else log_after - density(points)
+    known.clear()
+    known.update(seen)
+    return ratio

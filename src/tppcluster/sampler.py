@@ -18,7 +18,11 @@ One sweep updates, in order:
 
 Each component caches its per-event excitation under its coefficients, so
 the excitation GEMM runs once per value of w: reallocation computes it, and
-the next base-rate walk and Langevin step read their rows from it.
+the next base-rate walk and Langevin step read their rows from it.  In the
+same way the fit context keeps a memo of the repulsive-prior densities the
+last ratio computed, so a birth, death or walk proposed from the
+configuration the previous one started from, or accepted into, reuses its
+density instead of computing it again.
 
 Every Metropolis move exposes its proposal and acceptance log-ratio through a
 small info record so tests can replay it against the full log joint.
@@ -106,6 +110,9 @@ class FitContext:
     prior: PriorBundle
     dpp_model: DppSpectralModel
     config: SamplerConfig
+    # log densities of the configurations the last dpp_log_ratio computed,
+    # keyed by the bytes of their points under dpp_model; each context has its own
+    dpp_memo: dict[bytes, float] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -144,7 +151,7 @@ def birth_death_move(state: MixtureState, ctx: FitContext, rng: np.random.Genera
     if rng.random() < cfg.p_birth:
         cube = rng.random(model.q)
         mu_star = model.box_lo + cube * (model.box_hi - model.box_lo)
-        delta = dpp_log_ratio(model, all_mu, add=mu_star)
+        delta = dpp_log_ratio(model, all_mu, add=mu_star, memo=ctx.dpp_memo)
         log_acc = delta + psi_log(u) + math.log((1.0 - cfg.p_birth) / (cfg.p_birth * (l + 1)))
         accepted = math.log(rng.random()) < log_acc
         info = {"kind": "birth", "mu": mu_star, "log_acc": log_acc,
@@ -161,7 +168,7 @@ def birth_death_move(state: MixtureState, ctx: FitContext, rng: np.random.Genera
                 "l_before": 0, "noop": True}
     j = int(rng.integers(l))
     victim = state.non_allocated[j]
-    delta = dpp_log_ratio(model, all_mu, remove=victim.mu)
+    delta = dpp_log_ratio(model, all_mu, remove=victim.mu, memo=ctx.dpp_memo)
     log_acc = delta - psi_log(u) + math.log(cfg.p_birth * l / (1.0 - cfg.p_birth))
     accepted = math.log(rng.random()) < log_acc
     info = {"kind": "death", "victim": victim, "index": j, "log_acc": log_acc,
@@ -202,7 +209,8 @@ def update_allocated_mu(state: MixtureState, ctx: FitContext, rng: np.random.Gen
             infos.append(info)
             continue
         members = np.flatnonzero(state.c == m)
-        delta_dpp = dpp_log_ratio(model, state.all_mu(), add=prop, remove=comp.mu)
+        delta_dpp = dpp_log_ratio(model, state.all_mu(), add=prop, remove=comp.mu,
+                                  memo=ctx.dpp_memo)
         x = _excitation(comp, ctx, members)
         horizon_sum = float(ctx.features.horizons[members].sum())
         delta_lik = (
@@ -392,9 +400,12 @@ def state_log_joint(state: MixtureState, data: Dataset, prior: PriorBundle,
     ``cols`` are the cached likelihood columns, ``(N, k + l)`` with the
     allocated components first; without them each sequence is scored by
     ``hawkes_loglik``, the independent reference.  Invalid states
-    (nonpositive weight seeds or ``u``, duplicated base-rate vectors, points
-    outside the prior box, ...) get -inf rather than raising, so Metropolis
-    ratios can treat them as auto-rejects.
+    (nonpositive weight seeds or ``u``, points outside the prior box, a
+    singular Gram matrix) get -inf rather than raising, so Metropolis
+    ratios can treat them as auto-rejects.  Duplicated base-rate vectors are
+    not certain to: their Gram matrix may be singular only up to rounding
+    (see ``dpp_log_density``).  The DPP term is always computed afresh, never
+    read from the context's memo.
     """
     n = len(data.sequences)
     if state.c.size != n:

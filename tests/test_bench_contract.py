@@ -34,8 +34,14 @@ def test_traced_fit_and_kernels_run_on_the_package(tmp_path):
     assert cli.run_sampler is sampler.run_sampler  # every wrapper is undone
     names = {span[0] for span in tracer.spans}
     assert {"pretrain", "sampler", "core.read_jsonl", "core.validate", "backbone.features",
-            "sampler.mu_walk", "dpp.log_density"} <= names
+            "sampler.mu_walk", "dpp.log_ratio", "dpp.log_density"} <= names
     assert tracer.counts["mu_walk_attempts"] > 0
+    # the DPP share adds the inclusive times of the two DPP spans, so neither
+    # may run inside the other
+    for name, _start, _end, parent in tracer.spans:
+        while name.startswith("dpp.") and parent is not None:
+            assert not tracer.spans[parent][0].startswith("dpp."), name
+            parent = tracer.spans[parent][3]
 
     # the kernel microbenchmarks on the sampler inputs the probes captured
     out = kernels.run_kernels(tracer.captured, 0.01)

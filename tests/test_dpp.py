@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import helpers
+from tppcluster import dpp
 from tppcluster.core import ConfigError, Dataset, DppConfig, EventSequence
 from tppcluster.dpp import (
     MAX_LATTICE_SIZE,
@@ -131,6 +132,74 @@ def test_remove_requires_membership():
     pts = np.array([[0.7, 0.9], [1.5, 1.1]])
     with pytest.raises(ConfigError):
         dpp_log_ratio(m, pts, remove=np.array([1.0, 1.0]))
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def test_memoised_ratio_equals_the_plain_call_bit_for_bit(monkeypatch):
+    """Along a seeded walk of adds, removes and swaps, accepted and rejected,
+    and of reorderings of the same points, a ratio that reads its densities
+    from the memo has the plain call's bits; it computes exactly the
+    configurations the memo does not hold (a reordered one included), and
+    the memo keeps only the one or two it evaluated last."""
+    m = helpers.small_dpp_model()  # box [0.5, 2.0]^2
+    computed, density = [], dpp.dpp_log_density
+
+    def counted(model, points):  # every configuration dpp_log_ratio computes
+        computed.append(np.asarray(points).tobytes())
+        return density(model, points)
+
+    monkeypatch.setattr(dpp, "dpp_log_density", counted)
+    rng = np.random.default_rng(14)
+    memo: dict = {}
+    pts = np.zeros((0, m.q))
+    seen = {"empty": 0, "hit": 0, "outside": 0, "duplicate": 0, "accepted": 0,
+            "rejected": 0, "missing": 0, "permuted": 0}
+    for _ in range(400):
+        n = pts.shape[0]
+        seen["empty"] += n == 0
+        kind = rng.choice(["add", "remove", "swap", "missing", "permute"] if n else ["add"])
+        add = remove = None
+        if kind == "missing":
+            with pytest.raises(ConfigError):
+                dpp_log_ratio(m, pts, remove=np.array([0.55, 0.55]), memo=memo)
+            seen["missing"] += 1
+            continue
+        if kind == "permute":  # the same points in another order
+            pts = pts[rng.permutation(n)]
+            seen["permuted"] += n > 1
+            continue
+        if kind in ("remove", "swap"):
+            remove = pts[int(rng.integers(n))]
+        if kind in ("add", "swap"):
+            draw = rng.random()
+            add = (np.array([2.5, 1.0]) if draw < 0.1
+                   else pts[int(rng.integers(n))].copy() if draw < 0.25 and n
+                   else rng.uniform(0.6, 1.9, size=m.q))
+        after = np.delete(pts, np.flatnonzero(np.all(pts == remove, axis=1))[:1], axis=0)
+        after = after if add is None else np.vstack([after, add[None, :]])
+        plain = dpp_log_ratio(m, pts, add=add, remove=remove)
+        held = set(memo)
+        seen["hit"] += pts.tobytes() in held
+        del computed[:]
+        got = dpp_log_ratio(m, pts, add=add, remove=remove, memo=memo)
+        assert _bits(got) == _bits(plain)
+        evaluated = {after.tobytes()} | ({pts.tobytes()} if got != -math.inf else set())
+        assert set(memo) == evaluated and len(memo) <= 2
+        assert sorted(computed) == sorted(evaluated - held)  # a reordering is not held
+        for key, value in memo.items():  # a stored density is the one its bytes give
+            assert _bits(value) == _bits(density(m, np.frombuffer(key).reshape(-1, m.q)))
+        if got == -math.inf:
+            seen["outside" if add is not None and add[0] > 2.0 else "duplicate"] += 1
+            continue
+        if math.log(rng.random()) < got:
+            pts = after
+            seen["accepted"] += 1
+        else:
+            seen["rejected"] += 1
+    assert all(v > 0 for v in seen.values()), seen
 
 
 def test_incremental_ratio_matches_recomputation():

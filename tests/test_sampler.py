@@ -450,13 +450,23 @@ def test_caches_follow_the_state():
                for c in state.copy().allocated + state.copy().non_allocated)
 
 
+def _small_cli_fit(tmp_path):
+    from tppcluster.cli import main
+
+    assert main(["simulate", "--recipe", "hawkes-delta", "--k", "2", "--delta", "1.0",
+                 "--n-per-cluster", "5", "--horizon", "5.0", "--seed", "11",
+                 "--out", str(tmp_path / "sim")]) == 0
+    assert main(["fit", "--data", str(tmp_path / "sim" / "dataset.jsonl"),
+                 "--iterations", "40", "--burn-in", "20", "--m-init", "2", "--seed", "2",
+                 "--out", str(tmp_path / "fit")]) == 0
+
+
 def test_fit_keeps_its_bytes(tmp_path, monkeypatch):
     """A small CLI fit writes the same trace.jsonl and report.json (less its
     clock and data path) as when these digests were first taken.  The fit
     covers the branches a cache could get wrong: births, and base-rate
     proposals that are accepted, rejected and outside the box."""
     from tppcluster import sampler
-    from tppcluster.cli import main
 
     seen = {"birth": 0, "accepted": 0, "rejected": 0, "outside": 0}
     walk, birth_death = sampler.update_allocated_mu, sampler.birth_death_move
@@ -477,12 +487,7 @@ def test_fit_keeps_its_bytes(tmp_path, monkeypatch):
 
     monkeypatch.setattr(sampler, "update_allocated_mu", counted_walk)
     monkeypatch.setattr(sampler, "birth_death_move", counted_birth_death)
-    assert main(["simulate", "--recipe", "hawkes-delta", "--k", "2", "--delta", "1.0",
-                 "--n-per-cluster", "5", "--horizon", "5.0", "--seed", "11",
-                 "--out", str(tmp_path / "sim")]) == 0
-    assert main(["fit", "--data", str(tmp_path / "sim" / "dataset.jsonl"),
-                 "--iterations", "40", "--burn-in", "20", "--m-init", "2", "--seed", "2",
-                 "--out", str(tmp_path / "fit")]) == 0
+    _small_cli_fit(tmp_path)
     assert all(seen.values()), seen
     report = json.loads((tmp_path / "fit" / "report.json").read_text())
     del report["wall_clock_sec"], report["data_path"]
@@ -492,6 +497,30 @@ def test_fit_keeps_its_bytes(tmp_path, monkeypatch):
         "200a20a22894f7d75a13c21a1cc38c26e7fcc3117ed71e62548120fd07cc49e5",
         "c3c8fb06fac96a708ff3c1b011db174338b913ccb5ddc44ccc39c673b66431fd",
     )
+
+
+def test_a_dpp_ratio_computes_fewer_than_two_densities(tmp_path, monkeypatch):
+    """The sampler's repulsive-prior ratios read the density of the
+    configuration they start from out of the fit context's memo whenever the
+    previous ratio evaluated it; without the memo each computes two."""
+    from tppcluster import dpp, sampler
+
+    calls = {"ratio": 0, "density": 0}
+    ratio, density = sampler.dpp_log_ratio, dpp.dpp_log_density
+
+    def counted_ratio(*args, **kwargs):
+        calls["ratio"] += 1
+        return ratio(*args, **kwargs)
+
+    def counted_density(*args):
+        calls["density"] += 1
+        return density(*args)
+
+    monkeypatch.setattr(sampler, "dpp_log_ratio", counted_ratio)
+    monkeypatch.setattr(dpp, "dpp_log_density", counted_density)
+    _small_cli_fit(tmp_path)
+    assert calls["ratio"] > 0
+    assert calls["density"] / calls["ratio"] < 1.5, calls
 
 
 def test_component_relabeling_does_not_change_the_chain():
