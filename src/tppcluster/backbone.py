@@ -16,6 +16,7 @@ is assembled from those.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr
@@ -168,11 +169,17 @@ class FeatureSet:
 
     All heavy sampler arithmetic — likelihood columns over every sequence,
     minibatch gradients, base-rate proposal deltas — runs on these arrays.
-    The per-event excitation is one BLAS GEMM: the ``(N·I_max, D·n_basis)``
-    feature matrix times ``a`` as a ``(D, D·n_basis)`` matrix gives each
-    event's excitation toward every target type, and each event keeps its
-    own type's column.  Every call scores the store it is called on: a
-    subset is ``take(idx)``; ``rows(idx)`` cuts a per-event block.
+    The per-event excitation is one BLAS GEMM over the store's E real event
+    rows (``_real``): the ``(E, D·n_basis)`` feature matrix times ``a`` as a
+    ``(D, D·n_basis)`` matrix gives each event's excitation toward every
+    target type, and each event keeps its own type's column.  The padded
+    slots of the ``(N, I_max)`` layout (most of them on a dataset of skewed
+    sequence lengths) never enter it and read zero in every per-event block.
+    The likelihood columns likewise form rates and logs on the real slots
+    only, but sum each sequence's logs at the padded width, so that each sum
+    groups its additions as the padded layout's row sum does.  Every call
+    scores the store it is called on: a subset is ``take(idx)``;
+    ``rows(idx)`` cuts a per-event block.
     """
 
     def __init__(self, data: Dataset, basis: BasisConfig):
@@ -236,29 +243,56 @@ class FeatureSet:
         to the (B, width) block of ``take(idx)``."""
         return np.s_[idx, : self.n_events[idx].max(initial=0)]
 
+    @cached_property
+    def _real(self):
+        """The store's real event slots, built on a store's first score so the
+        SGLD minibatch stores of ``grad_a`` never pay for it: their flat padded
+        index, a contiguous ``(E, D·n_basis)`` copy of their ``excite`` rows,
+        the flat index of each event's own-type column in an ``(E, D)``
+        product, and their types."""
+        slots = np.flatnonzero(self.mask.ravel())
+        D = self.n_types
+        excite = self.excite.reshape(-1, D * self.excite.shape[-1])[slots]
+        types = self.types.ravel()[slots]
+        return slots, excite, np.arange(slots.size) * D + types, types
+
     def excitation(self, a: np.ndarray) -> np.ndarray:
         """Event-wise excitation sum_{d',j} a[d_i, d', j] * excite; shape
-        (N, I_max), the block the ``x`` of the other calls takes."""
-        types = self.types
-        D = self.n_types
-        a2 = a.reshape(D, -1)
+        (N, I_max), the block the ``x`` of the other calls takes.  The GEMM
+        runs over the E real event rows; padded slots read zero.  BLAS may
+        round a row differently when the product has other rows, so for some
+        shapes (D, n_basis) a row's last bits differ from those of a GEMM
+        over all N·I_max slots."""
+        slots, excite, own, _ = self._real
+        a2 = a.reshape(self.n_types, -1)
         # a contiguous right operand: BLAS reads it faster than the transposed
         # view, with the same bits
-        toward = self.excite.reshape(-1, a2.shape[1]) @ np.ascontiguousarray(a2.T)
-        return toward.ravel().take(np.arange(0, toward.size, D) + types.ravel()).reshape(types.shape)
+        toward = excite @ np.ascontiguousarray(a2.T)
+        x = np.zeros(self.mask.shape)
+        x.reshape(-1)[slots] = toward.reshape(-1).take(own)
+        return x
 
     # -- likelihood columns -------------------------------------------------
 
     def loglik_all(self, mu: np.ndarray, a: np.ndarray, x=None) -> np.ndarray:
         """Per-sequence log likelihood under (mu, a); shape (N,).
 
-        ``x`` is ``excitation(a)`` when the caller already has it."""
-        lam = mu[self.types] + (self.excitation(a) if x is None else x)
+        ``x`` is ``excitation(a)`` when the caller already has it.  Rates and
+        logs are formed on the real event slots only; the logs are then laid
+        into zeroed ``(N, I_max)`` rows and each row is summed at that padded
+        width, because numpy's pairwise sum groups its additions by the row
+        length: a sum over the real slots alone would change the last bits."""
+        slots, _, _, types = self._real
+        x = self.excitation(a) if x is None else x
+        lam = mu.take(types) + x.reshape(-1).take(slots)
         ok = lam > 0
-        ev = np.log(lam, out=np.zeros_like(lam), where=self.mask & ok).sum(axis=1)
+        lam[~ok] = 1.0  # a zero log; the sequence is marked -inf below
+        logs = np.zeros(self.mask.size)
+        logs[slots] = np.log(lam, out=lam)
+        ev = logs.reshape(self.mask.shape).sum(axis=1)
         col = a.sum(axis=0).ravel()  # (D·n_basis,): a source slot's weight on all targets
         out = ev - self.horizons * mu.sum() - self.comp.reshape(-1, col.size) @ col
-        out[(self.mask & ~ok).any(axis=1)] = -np.inf
+        out[slots[~ok] // self.mask.shape[1]] = -np.inf
         return out
 
     # -- base-rate move helpers ---------------------------------------------

@@ -290,6 +290,87 @@ def test_featureset_cached_blocks_and_sub_stores_keep_the_bits():
             assert np.array_equal(feats.grad_a(mu, a, idx), sub.loglik_grad(mu, a)[1]), (D, name)
 
 
+def _padded_excitation(feats, a):
+    """The excitation over the padded layout, the reference for the real-row
+    GEMM: one GEMM over all N·I_max slots, each keeping its own type's column."""
+    D = feats.n_types
+    a2 = a.reshape(D, -1)
+    toward = feats.excite.reshape(-1, a2.shape[1]) @ np.ascontiguousarray(a2.T)
+    own = np.arange(0, toward.size, D) + feats.types.ravel()
+    return toward.ravel().take(own).reshape(feats.types.shape)
+
+
+def _padded_loglik_all(feats, mu, a):
+    """The likelihood columns over the padded layout, the reference for the
+    real-row kernel: rates and logs over all N·I_max slots, padded and
+    nonpositive slots masked."""
+    lam = mu[feats.types] + _padded_excitation(feats, a)
+    ok = lam > 0
+    ev = np.log(lam, out=np.zeros_like(lam), where=feats.mask & ok).sum(axis=1)
+    col = a.sum(axis=0).ravel()
+    out = ev - feats.horizons * mu.sum() - feats.comp.reshape(-1, col.size) @ col
+    out[(feats.mask & ~ok).any(axis=1)] = -np.inf
+    return out
+
+
+def test_real_row_kernels_keep_the_padded_bits():
+    """The excitation GEMM and the likelihood columns run over the real event
+    rows only, and give the padded formulas' bytes, padded slots reading +0.0,
+    on every store and sub-store of the subset cases.  The bytes of the GEMM
+    rows depend on the BLAS and the shape (D, n_basis); these small shapes
+    round a row subset as the whole product does."""
+    for D in (1, 2, 3):
+        data, basis, mu, a, subsets = _subset_cases(D)
+        whole = FeatureSet(data, basis)
+        for name, store in [("whole", whole)] + [(k, whole.take(i)) for k, i in subsets.items()]:
+            x = store.excitation(a)
+            assert x.tobytes() == _padded_excitation(store, a).tobytes(), (D, name)
+            assert x.tobytes() == np.where(store.mask, x, 0.0).tobytes(), (D, name)
+            want = _padded_loglik_all(store, mu, a).tobytes()
+            assert store.loglik_all(mu, a).tobytes() == want, (D, name)
+            assert store.loglik_all(mu, a, x).tobytes() == want, (D, name)
+
+
+def test_nonpositive_rate_marks_only_its_sequence():
+    """Of several sequences, only the one with a zero-rate event scores -inf;
+    the others keep their finite columns, as in the padded formula."""
+    basis = BasisConfig(np.array([0.0, 0.5]), 0.5, 1.0)
+    seqs = [
+        EventSequence(np.array([0.5, 1.0, 1.5]), np.array([0, 0, 1]), 3.0, id="excited"),
+        EventSequence(np.array([0.3, 0.9]), np.array([1, 0]), 2.0, id="unexcited"),
+        EventSequence(np.array([]), np.array([], dtype=np.int64), 1.0, id="empty"),
+        EventSequence(np.array([0.2]), np.array([0]), 2.5, id="type 0 only"),
+    ]
+    feats = FeatureSet(Dataset(seqs, 2), basis)
+    a = np.full((2, 2, 2), 0.3)
+    for mu1 in (0.0, -0.2):
+        mu = np.array([0.8, mu1])
+        cols = feats.loglik_all(mu, a)
+        assert cols.tobytes() == _padded_loglik_all(feats, mu, a).tobytes()
+        assert np.isneginf(cols).tolist() == [False, True, False, False]
+        p = HawkesParams(mu, a, basis)
+        for i in (0, 2, 3):
+            assert cols[i] == pytest.approx(hawkes_loglik(p, seqs[i]), abs=1e-12)
+
+
+def test_one_event_store_matches_per_sequence_loglik():
+    """A store whose only event row is one: numpy sends its (1, K) product to
+    gemv, whose bits may differ from a GEMM row, so it is checked against the
+    event-by-event likelihood to 1e-12 rather than bit for bit."""
+    basis = BasisConfig(np.array([0.0, 0.5]), 0.5, 1.0)
+    one = EventSequence(np.array([0.7]), np.array([1]), 2.0, id="one")
+    empty = [EventSequence(np.array([]), np.array([], dtype=np.int64), 1.5, id=f"e{i}")
+             for i in range(2)]
+    rng = np.random.default_rng(3)
+    mu, a = rng.uniform(0.3, 1.5, 2), rng.uniform(0.0, 0.4, (2, 2, 2))
+    p = HawkesParams(mu, a, basis)
+    for seqs in ([one], [empty[0], one, empty[1]]):
+        feats = FeatureSet(Dataset(seqs, 2), basis)
+        direct = [hawkes_loglik(p, s) for s in seqs]
+        assert np.allclose(feats.loglik_all(mu, a), direct, rtol=0.0, atol=1e-12)
+        assert np.allclose(feats.excitation(a), _padded_excitation(feats, a), rtol=0.0, atol=1e-12)
+
+
 @settings(max_examples=40, deadline=None, database=None)
 @given(st.data())
 def test_featureset_matches_whole_history_reference(data):
