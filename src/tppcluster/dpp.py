@@ -16,11 +16,16 @@ where D_app = sum_z log(1 + phi_tilde(z)).  Larger ``alpha`` repels over
 longer distances; ``rho`` controls the expected number of points.
 
 The Gram matrix is assembled from per-point cosine and sine features of the
-lattice frequencies.  A density ratio is the difference of two full
-log-densities; given a memo of the densities its last call computed, it
-computes only the ones it has not seen, so a chain that proposes from an
-unchanged configuration prices each move with one density.  The lattice has
-(2L+1)^q frequencies; models with more than ``MAX_LATTICE_SIZE`` are refused.
+lattice frequencies, whose trigonometry is most of a density's cost.  A
+density ratio is the difference of two full log-densities; given a memo of
+the densities its last call computed, it computes only the ones it has not
+seen, so a chain that proposes from an unchanged configuration prices each
+move with one density.  Given a cache of the points' feature rows (2 n_z
+floats, 2 n_z 8 bytes, per point), a density it does compute runs the
+trigonometry only for the point the move adds: none for a death or for a
+configuration whose points were reordered.  The Gram product and its
+log-determinant are still formed in full.  The lattice has (2L+1)^q
+frequencies; models with more than ``MAX_LATTICE_SIZE`` are refused.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -47,8 +53,10 @@ log = logging.getLogger(__name__)
 _PHI_CLIP = 1.0 - 1e-6
 
 # Largest admitted (2L+1)^q.  Admits q <= 7 at the default radius L=2; at
-# this size a lattice is a few MB and one density of ten points takes a few
-# tens of ms.  q=8 at L=2 (390,625 frequencies) or q=10 (9.8M) is refused.
+# q=7 (78,125 frequencies) a lattice is a few MB, a point's cached feature
+# rows 1.25 MB, and one density of ten points takes a few tens of ms from
+# scratch, a few ms in a ratio that finds nine of its points' rows cached.
+# q=8 at L=2 (390,625 frequencies) or q=10 (9.8M) is refused.
 MAX_LATTICE_SIZE = 100_000
 
 
@@ -75,18 +83,38 @@ class DppSpectralModel:
     def in_box(self, point: np.ndarray) -> bool:
         return bool(np.all(point >= self.box_lo) and np.all(point <= self.box_hi))
 
+    @cached_property
+    def _lattice_t(self) -> np.ndarray:
+        # (q, n_z) float copy of lattice.T, whose product with x has the same
+        # bits without casting the integers on every call
+        return np.ascontiguousarray(self.lattice.T, dtype=np.float64)
+
     def gram(self, x: np.ndarray) -> np.ndarray:
         """Gram matrix K(x_i, x_j) in unit-cube coordinates; shape (len(x), len(x)).
 
         cos(a - b) = cos a cos b + sin a sin b, so the matrix is
         ``(C phi_tilde) C^T + (S phi_tilde) S^T`` from the per-point features
-        ``C, S = cos/sin(2 pi x . z)``: O(len(x) n_z) trigonometric calls.  The
-        lattice is symmetric, so the imaginary parts of the complex expansion
-        cancel exactly.
+        ``C, S = cos/sin(2 pi x . z)``: 2 len(x) n_z trigonometric calls, which
+        are most of a density's cost.  The lattice is symmetric, so the
+        imaginary parts of the complex expansion cancel exactly.
         """
         ang = 2.0 * math.pi * (x @ self.lattice.T)
-        c, s = np.cos(ang), np.sin(ang)
+        return self.gram_of(np.cos(ang), np.sin(ang))
+
+    def gram_of(self, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """The Gram matrix of the points whose feature rows are ``c`` and ``s``."""
         return (c * self.phi_tilde) @ c.T + (s * self.phi_tilde) @ s.T
+
+    def feature_rows(self, x: np.ndarray) -> np.ndarray:
+        """``C`` and ``S`` of ``gram`` stacked, shape (2, len(x), n_z).  They
+        have ``gram``'s bits wherever BLAS rounds ``x @ lattice.T`` alike for
+        these rows and for ``gram``'s: seen at q <= 3, while at q = 6 OpenBLAS
+        rounds a one-row product differently from a several-row one."""
+        ang = 2.0 * math.pi * (x @ self._lattice_t)
+        rows = np.empty((2,) + ang.shape)
+        np.cos(ang, out=rows[0])
+        np.sin(ang, out=rows[1])
+        return rows
 
     def describe(self) -> dict:
         return {
@@ -122,7 +150,7 @@ def build_spectral_model(q: int, lattice_radius: int, rho: float, alpha: float,
     ``rho * (sqrt(pi) * alpha)^q < 1``; when violated the density is clipped
     just below one (with a warning) which flattens repulsion toward a
     near-independent prior rather than failing.  A density that overflows a
-    float is a ConfigError.
+    float, or underflows to zero at every frequency, is a ConfigError.
     """
     _check_lattice_size(q, lattice_radius)
     box_lo = np.atleast_1d(np.asarray(box_lo, dtype=np.float64))
@@ -154,6 +182,10 @@ def build_spectral_model(q: int, lattice_radius: int, rho: float, alpha: float,
         )
         phi = np.minimum(phi, _PHI_CLIP)
     phi_tilde = phi / (1.0 - phi)
+    if not phi_tilde.any():  # every configuration but the empty one would have density zero
+        raise ConfigError(f"repulsive-prior spectral density underflows to zero at "
+                          f"prior.dpp.rho={rho:g}, prior.dpp.alpha={alpha:g} for q={q} event "
+                          f"types; raise rho or alpha")
     d_app = float(np.log1p(phi_tilde).sum())
     return DppSpectralModel(lattice, phi_tilde, d_app, box_lo, box_hi, rho, alpha, clipped)
 
@@ -180,7 +212,31 @@ def model_for_data(data: Dataset, cfg: DppConfig, default_rho: float) -> DppSpec
     return build_spectral_model(q, cfg.lattice_radius, rho, cfg.alpha, lo, hi)
 
 
-def dpp_log_density(model: DppSpectralModel, points: np.ndarray) -> float:
+def _row_keys(points: np.ndarray) -> list[bytes]:
+    """The bytes of each row of a (k, q) float64 configuration."""
+    whole = points.tobytes()
+    width = len(whole) // len(points)
+    return [whole[i:i + width] for i in range(0, len(whole), width)]
+
+
+def _cached_features(model: DppSpectralModel, points: np.ndarray,
+                     rows: dict[bytes, np.ndarray]) -> np.ndarray | None:
+    """The (2, k, n_z) feature rows of ``points``, read from ``rows`` by each
+    point's bytes; a point not there is box-checked (None when it is
+    outside), computed and added.  The check compares Python floats: at
+    q = 3 numpy's per-call cost would exceed the trigonometry saved."""
+    keys = _row_keys(points)
+    for i, key in enumerate(keys):
+        if key not in rows:
+            bounds = zip(points[i].tolist(), model.box_lo.tolist(), model.box_hi.tolist())
+            if any(v < lo or v > hi for v, lo, hi in bounds):
+                return None
+            rows[key] = model.feature_rows(model.rescale(points[i:i + 1]))
+    return np.concatenate([rows[key] for key in keys], axis=1)
+
+
+def dpp_log_density(model: DppSpectralModel, points: np.ndarray,
+                    rows: dict[bytes, np.ndarray] | None = None) -> float:
     """Log density of a configuration of base-rate vectors (raw coordinates).
 
     Empty configurations are allowed (density exp(1 - D_app)); configurations
@@ -188,16 +244,28 @@ def dpp_log_density(model: DppSpectralModel, points: np.ndarray) -> float:
     zero.  Duplicated points are not certain to: the Gram matrix is built by
     GEMM, so two equal rows can differ in their last bits and leave a large
     negative but finite value.
+
+    ``rows`` maps the bytes of a point to its (2, 1, n_z) ``feature_rows``
+    under ``model``, 2 n_z 8 bytes each (250 KB at q = 6, 1.25 MB at q = 7).
+    A point found there is neither box-checked again nor recomputed; one
+    that is not is checked, computed and added.  The value then has the
+    bits of the plain call wherever ``feature_rows`` has ``gram``'s.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.size == 0:
         return 1.0 - model.d_app
     if points.ndim == 1:
         points = points[None, :]
-    if np.any(points < model.box_lo) or np.any(points > model.box_hi):
-        return -math.inf
-    x = model.rescale(points)
-    sign, logdet = np.linalg.slogdet(model.gram(x))
+    if rows is None:
+        if np.any(points < model.box_lo) or np.any(points > model.box_hi):
+            return -math.inf
+        gram = model.gram(model.rescale(points))
+    else:
+        features = _cached_features(model, points, rows)
+        if features is None:
+            return -math.inf
+        gram = model.gram_of(features[0], features[1])
+    sign, logdet = np.linalg.slogdet(gram)
     if sign <= 0 or not np.isfinite(logdet):
         return -math.inf
     return 1.0 - model.d_app + float(logdet)
@@ -206,7 +274,8 @@ def dpp_log_density(model: DppSpectralModel, points: np.ndarray) -> float:
 def dpp_log_ratio(model: DppSpectralModel, points: np.ndarray,
                   add: np.ndarray | None = None,
                   remove: np.ndarray | None = None,
-                  memo: dict[bytes, float] | None = None) -> float:
+                  memo: dict[bytes, float] | None = None,
+                  rows: dict[bytes, np.ndarray] | None = None) -> float:
     """Log-density change of adding and/or removing one point.
 
     ``remove`` is matched against ``points`` by exact coordinates.  The value
@@ -220,27 +289,40 @@ def dpp_log_ratio(model: DppSpectralModel, points: np.ndarray,
     bit.  A reordered configuration has other bytes and is recomputed.  On
     return the memo holds the configurations this call evaluated, at most
     two.  Without a memo both densities are computed.
+
+    ``rows`` is ``dpp_log_density``'s cache of feature rows, shared by both
+    densities: a configuration the memo lacks costs trigonometry only for
+    the point it adds, none for a removal or a reordering.  On return it
+    holds at most the rows of ``points`` and ``add``.
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, model.q)
-    after = points
+    parts = [points]
     if remove is not None:
-        remove = np.asarray(remove, dtype=np.float64)
-        match = np.flatnonzero(np.all(points == remove, axis=1))
+        match = (points == np.asarray(remove, dtype=np.float64)).all(axis=1).nonzero()[0]
         if match.size == 0:
             raise ConfigError("point to remove is not part of the configuration")
-        after = np.delete(after, match[0], axis=0)
+        parts = [points[:match[0]], points[match[0] + 1:]]
     if add is not None:
-        after = np.vstack([after, np.asarray(add, dtype=np.float64)[None, :]])
+        add = np.asarray(add, dtype=np.float64)
+        parts.append(add[None, :])
+    after = np.concatenate(parts) if len(parts) > 1 else points
     known = {} if memo is None else memo
     seen: dict[bytes, float] = {}
 
     def density(x: np.ndarray) -> float:
         key = x.tobytes()
-        seen[key] = known[key] if key in known else dpp_log_density(model, x)
+        seen[key] = known[key] if key in known else dpp_log_density(model, x, rows)
         return seen[key]
 
     log_after = density(after)
     ratio = -math.inf if log_after == -math.inf else log_after - density(points)
     known.clear()
     known.update(seen)
+    if rows is not None:  # keep the rows of before and after: the points and add
+        keys = _row_keys(points) if len(points) else []
+        if add is not None:
+            keys.append(add.tobytes())
+        kept = {key: rows[key] for key in keys if key in rows}
+        rows.clear()
+        rows.update(kept)
     return ratio

@@ -248,6 +248,8 @@ def test_fit_rejects_non_finite_times(tmp_path, capsys):
      "at prior.dpp.rho=4, prior.dpp.alpha=1e+308 for q=3"),
     ('{"prior": {"dpp": {"rho": 1e308, "alpha": 10}}}', "repulsive-prior spectral density "
      "overflows at prior.dpp.rho=1e+308, prior.dpp.alpha=10 for q=3"),
+    ('{"prior": {"dpp": {"alpha": 1e-150}}}', "repulsive-prior spectral density underflows "
+     "to zero at prior.dpp.rho=4, prior.dpp.alpha=1e-150 for q=3"),
 ])
 def test_fit_rejects_mistyped_config(tmp_path, capsys, text, key):
     cfg = tmp_path / "cfg.json"

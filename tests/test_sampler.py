@@ -502,24 +502,37 @@ def test_fit_keeps_its_bytes(tmp_path, monkeypatch):
 def test_a_dpp_ratio_computes_fewer_than_two_densities(tmp_path, monkeypatch):
     """The sampler's repulsive-prior ratios read the density of the
     configuration they start from out of the fit context's memo whenever the
-    previous ratio evaluated it; without the memo each computes two."""
+    previous ratio evaluated it; without the memo each computes two.  They
+    read the feature rows of every point but a proposed one from the
+    context's cache, so after the first ratio each computes at most one."""
     from tppcluster import dpp, sampler
 
-    calls = {"ratio": 0, "density": 0}
+    calls = {"ratio": 0, "density": 0, "first": None}
+    rows = []
     ratio, density = sampler.dpp_log_ratio, dpp.dpp_log_density
+    feature_rows = dpp.DppSpectralModel.feature_rows
 
     def counted_ratio(*args, **kwargs):
         calls["ratio"] += 1
-        return ratio(*args, **kwargs)
+        del rows[:]
+        out = ratio(*args, **kwargs)
+        calls["first"] = sum(rows) if calls["first"] is None else calls["first"]
+        assert calls["ratio"] == 1 or sum(rows) <= 1, rows
+        return out
 
     def counted_density(*args):
         calls["density"] += 1
         return density(*args)
 
+    def counted_rows(self, x):
+        rows.append(len(x))
+        return feature_rows(self, x)
+
     monkeypatch.setattr(sampler, "dpp_log_ratio", counted_ratio)
     monkeypatch.setattr(dpp, "dpp_log_density", counted_density)
+    monkeypatch.setattr(dpp.DppSpectralModel, "feature_rows", counted_rows)
     _small_cli_fit(tmp_path)
-    assert calls["ratio"] > 0
+    assert calls["ratio"] > 0 and calls["first"] >= 2
     assert calls["density"] / calls["ratio"] < 1.5, calls
 
 
