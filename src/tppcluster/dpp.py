@@ -19,13 +19,16 @@ The Gram matrix is assembled from per-point cosine and sine features of the
 lattice frequencies, whose trigonometry is most of a density's cost.  A
 density ratio is the difference of two full log-densities; given a memo of
 the densities its last call computed, it computes only the ones it has not
-seen, so a chain that proposes from an unchanged configuration prices each
-move with one density.  Given a cache of the points' feature rows (2 n_z
-floats, 2 n_z 8 bytes, per point), a density it does compute runs the
-trigonometry only for the point the move adds: none for a death or for a
-configuration whose points were reordered.  The Gram product and its
-log-determinant are still formed in full.  The lattice has (2L+1)^q
-frequencies; models with more than ``MAX_LATTICE_SIZE`` are refused.
+seen.  A swap puts the added point in the removed point's slot, the order a
+chain that replaces one point in place keeps, so a chain that proposes from
+the configuration the last ratio started from or moved to prices each move
+with one density.  Given a cache of the points' feature rows (2 n_z floats,
+2 n_z 8 bytes, per point), a density it does compute runs the trigonometry
+only for the point the move adds: none for a death or for a configuration
+whose points were reordered, nor for a density of cached points computed
+outside a ratio.  The Gram product and its log-determinant are still formed
+in full.  The lattice has (2L+1)^q frequencies; models with more than
+``MAX_LATTICE_SIZE`` are refused.
 """
 
 from __future__ import annotations
@@ -85,8 +88,9 @@ class DppSpectralModel:
 
     @cached_property
     def _lattice_t(self) -> np.ndarray:
-        # (q, n_z) float copy of lattice.T, whose product with x has the same
-        # bits without casting the integers on every call
+        # (q, n_z) float copy of lattice.T, whose product with x has the
+        # integer lattice's bits without casting it on every call (at q = 6
+        # and six points: 0.04 ms against 0.6 ms)
         return np.ascontiguousarray(self.lattice.T, dtype=np.float64)
 
     def gram(self, x: np.ndarray) -> np.ndarray:
@@ -98,7 +102,7 @@ class DppSpectralModel:
         are most of a density's cost.  The lattice is symmetric, so the
         imaginary parts of the complex expansion cancel exactly.
         """
-        ang = 2.0 * math.pi * (x @ self.lattice.T)
+        ang = 2.0 * math.pi * (x @ self._lattice_t)
         return self.gram_of(np.cos(ang), np.sin(ang))
 
     def gram_of(self, c: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -279,9 +283,11 @@ def dpp_log_ratio(model: DppSpectralModel, points: np.ndarray,
     """Log-density change of adding and/or removing one point.
 
     ``remove`` is matched against ``points`` by exact coordinates.  The value
-    is ``dpp_log_density(after) - dpp_log_density(before)``, with the added
-    point appended after the remaining ones; it is -inf whenever ``after``
-    has density zero, also when ``before`` has (where the difference is NaN).
+    is ``dpp_log_density(after) - dpp_log_density(before)``, where ``after``
+    holds the added point in the removed point's slot when the call does
+    both, and appends it after ``points`` when it only adds; it is -inf
+    whenever ``after`` has density zero, also when ``before`` has (where the
+    difference is NaN).
 
     ``memo`` maps the bytes of a configuration's ``(M, q)`` array, in order,
     to its log density under ``model``; a configuration found there is not
@@ -304,7 +310,7 @@ def dpp_log_ratio(model: DppSpectralModel, points: np.ndarray,
         parts = [points[:match[0]], points[match[0] + 1:]]
     if add is not None:
         add = np.asarray(add, dtype=np.float64)
-        parts.append(add[None, :])
+        parts.insert(1, add[None, :])  # a swap keeps the removed point's slot
     after = np.concatenate(parts) if len(parts) > 1 else points
     known = {} if memo is None else memo
     seen: dict[bytes, float] = {}

@@ -22,11 +22,13 @@ the next base-rate walk and Langevin step read their rows from it.  In the
 same way the fit context keeps a memo of the repulsive-prior densities the
 last ratio computed, so a birth, death or walk proposed from the
 configuration the previous one started from, or accepted into, reuses its
-density instead of computing it again.  It also keeps the spectral feature
-rows of the points of that ratio's two configurations (2 n_z 8 bytes per
-point: 250 KB at D = 6), so a density the memo lacks, such as the start of
-a walk after an accepted one (which keeps the new base rates in the old
-slot), costs the trigonometry of the proposed point only.
+density instead of computing it again; a walk's ratio puts the proposed
+base rates in the old ones' slot, where an accepted walk keeps them.  It
+also keeps the spectral feature rows of the points of that ratio's two
+configurations (2 n_z 8 bytes per point: 250 KB at D = 6), so a density the
+memo lacks, such as one whose points reallocation reordered, costs the
+trigonometry of the proposed point only, and a stored sample's log joint,
+whose points the sweep's ratios have all priced, costs none.
 
 Every Metropolis move exposes its proposal and acceptance log-ratio through a
 small info record so tests can replay it against the full log joint.
@@ -395,7 +397,8 @@ def _canonicalize(state: MixtureState) -> MixtureState:
 
 
 def state_log_joint(state: MixtureState, data: Dataset, prior: PriorBundle,
-                    dpp_model: DppSpectralModel, cols: np.ndarray | None = None) -> float:
+                    dpp_model: DppSpectralModel, cols: np.ndarray | None = None,
+                    rows: dict[bytes, np.ndarray] | None = None) -> float:
     """Unnormalised log joint density of a full mixture state given ``data``
     (up to one state-independent constant):
 
@@ -407,13 +410,18 @@ def state_log_joint(state: MixtureState, data: Dataset, prior: PriorBundle,
 
     ``cols`` are the cached likelihood columns, ``(N, k + l)`` with the
     allocated components first; without them each sequence is scored by
-    ``hawkes_loglik``, the independent reference.  Invalid states
-    (nonpositive weight seeds or ``u``, points outside the prior box, a
-    singular Gram matrix) get -inf rather than raising, so Metropolis
-    ratios can treat them as auto-rejects.  Duplicated base-rate vectors are
-    not certain to: their Gram matrix may be singular only up to rounding
-    (see ``dpp_log_density``).  The DPP term is always computed afresh, never
-    read from the context's memo.
+    ``hawkes_loglik``, the independent reference.  ``rows`` is the fit
+    context's cache of repulsive-prior feature rows (``dpp_log_density``'s
+    ``rows``): the sweep's ratios have already cached every point of the
+    state, so its density runs no trigonometry, only the Gram product and
+    log-determinant.  Without it the density is computed from scratch, the
+    reference the Metropolis-ratio oracle compares against; it is never read
+    from the context's memo of densities.  Invalid states (nonpositive
+    weight seeds or ``u``, points outside the prior box, a singular Gram
+    matrix) get -inf rather than raising, so Metropolis ratios can treat
+    them as auto-rejects.  Duplicated base-rate vectors are not certain to:
+    their Gram matrix may be singular only up to rounding (see
+    ``dpp_log_density``).
     """
     n = len(data.sequences)
     if state.c.size != n:
@@ -421,7 +429,7 @@ def state_log_joint(state: MixtureState, data: Dataset, prior: PriorBundle,
     if not (state.u > 0 and np.isfinite(state.u)) or any(
             comp.r <= 0 for comp in state.allocated + state.non_allocated):
         return -math.inf
-    total = dpp_log_density(dpp_model, state.all_mu())
+    total = dpp_log_density(dpp_model, state.all_mu(), rows)
     if not np.isfinite(total):
         return -math.inf
     counts = state.counts()
@@ -460,6 +468,12 @@ def run_sampler(data: Dataset, init: MixtureState, prior: PriorBundle,
     state = _canonicalize(state)
     if not all(dpp_model.in_box(c.mu) for c in state.allocated + state.non_allocated):
         raise ConfigError("initial base rates must lie inside the prior box")
+    if dpp_log_density(dpp_model, state.all_mu()) == -math.inf:  # a state the prior rules out
+        raise ConfigError(
+            f"the initial state's {state.k + state.l} components have repulsive-prior density "
+            f"zero (a singular Gram matrix) at prior.dpp.rho={dpp_model.rho:g}, "
+            f"prior.dpp.alpha={dpp_model.alpha:g}; lower alpha or rho, or start from fewer "
+            f"components")
 
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     trace = PosteriorTrace()
@@ -483,7 +497,8 @@ def run_sampler(data: Dataset, init: MixtureState, prior: PriorBundle,
         resample_u(state, ctx, rng)
 
         if sweep > config.burn_in and (sweep - config.burn_in - 1) % config.stride == 0:
-            lj = state_log_joint(state, data, prior, dpp_model, _component_columns(state, ctx))
+            lj = state_log_joint(state, data, prior, dpp_model, _component_columns(state, ctx),
+                                 ctx.dpp_rows)
             trace.iterations.append(sweep)
             trace.k.append(state.k)
             trace.l.append(state.l)

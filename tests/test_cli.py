@@ -266,6 +266,28 @@ def test_fit_rejects_mistyped_config(tmp_path, capsys, text, key):
     assert len(err[0]) < 500, err  # one problem per message, not a list
 
 
+def test_fit_rejects_an_initial_state_of_prior_density_zero(tmp_path, capsys):
+    """At alpha 2 the clipped spectral density makes the Gram matrix of any
+    two or more base-rate vectors singular, so a chain started from three
+    components could never leave them (every stored log joint was -inf);
+    the fit exits 1 naming rho, alpha and the component count and writes
+    nothing.  At alpha 1 the same fit runs."""
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--recipe", "hawkes-delta", "--k", "2", "--delta", "0.6",
+                 "--n-per-cluster", "5", "--seed", "1", "--out", str(sim)]) == 0
+    for alpha, rc in (("2.0", 1), ("1.0", 0)):
+        cfg = tmp_path / f"cfg-{alpha}.json"
+        cfg.write_text(f'{{"prior": {{"dpp": {{"alpha": {alpha}}}}}}}')
+        out = tmp_path / f"fit-{alpha}"
+        assert main(["fit", "--data", str(sim / "dataset.jsonl"), "--config", str(cfg),
+                     "--iterations", "20", "--burn-in", "10", "--m-init", "3",
+                     "--out", str(out)]) == rc
+        assert out.exists() == (rc == 0)
+    err = capsys.readouterr().err
+    assert ("error: the initial state's 3 components have repulsive-prior density zero "
+            "(a singular Gram matrix) at prior.dpp.rho=3, prior.dpp.alpha=2;") in err, err
+
+
 def test_fit_rejects_non_integer_labels(tmp_path, capsys):
     for label in ('"x"', "1.5", str(10**30)):
         path = tmp_path / "labels.jsonl"

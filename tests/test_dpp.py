@@ -8,7 +8,16 @@ import pytest
 
 import helpers
 from tppcluster import dpp
-from tppcluster.core import ConfigError, Dataset, DppConfig, EventSequence
+from tppcluster.core import (
+    BasisConfig,
+    Component,
+    ConfigError,
+    Dataset,
+    DppConfig,
+    EventSequence,
+    MixtureState,
+    PriorBundle,
+)
 from tppcluster.dpp import (
     MAX_LATTICE_SIZE,
     build_spectral_model,
@@ -16,6 +25,7 @@ from tppcluster.dpp import (
     dpp_log_ratio,
     model_for_data,
 )
+from tppcluster.sampler import state_log_joint
 
 
 def test_normaliser_single_frequency():
@@ -70,6 +80,19 @@ def test_closer_pairs_are_less_likely():
     near = dpp_log_density(m, np.array([[1.0], [1.0 + 0.025 * width]]))
     far = dpp_log_density(m, np.array([[1.0], [1.0 + 0.25 * width]]))
     assert near < far
+
+
+@pytest.mark.parametrize("q", [3, 6])
+def test_gram_has_the_integer_lattice_bits(q):
+    """``gram`` multiplies by the cached float copy of the lattice; its Gram
+    matrices have the bits of the product with the int64 lattice, kept here
+    as the reference, on random configurations of 1 to 6 points."""
+    m = helpers.small_dpp_model(q=q)
+    rng = np.random.default_rng(40 + q)
+    for _ in range(300 if q == 3 else 60):
+        x = rng.uniform(0.0, 1.0, size=(int(rng.integers(1, 7)), q))
+        ang = 2.0 * math.pi * (x @ m.lattice.T)
+        assert m.gram(x).tobytes() == m.gram_of(np.cos(ang), np.sin(ang)).tobytes()
 
 
 def test_kernel_matches_complex_expansion():
@@ -178,8 +201,7 @@ def test_memoised_ratio_equals_the_plain_call_bit_for_bit(monkeypatch):
             add = (np.array([2.5, 1.0]) if draw < 0.1
                    else pts[int(rng.integers(n))].copy() if draw < 0.25 and n
                    else rng.uniform(0.6, 1.9, size=m.q))
-        after = np.delete(pts, np.flatnonzero(np.all(pts == remove, axis=1))[:1], axis=0)
-        after = after if add is None else np.vstack([after, add[None, :]])
+        after = _after(pts, add, remove)
         plain = dpp_log_ratio(m, pts, add=add, remove=remove)
         held = set(memo)
         seen["hit"] += pts.tobytes() in held
@@ -220,8 +242,42 @@ def _proposal(rng, pts, kinds, duplicates=True):
 
 
 def _after(pts, add, remove):
-    after = np.delete(pts, np.flatnonzero(np.all(pts == remove, axis=1))[:1], axis=0)
-    return after if add is None else np.vstack([after, add[None, :]])
+    """The configuration a move leads to: ``pts`` less ``remove``, with
+    ``add`` in the removed point's slot, or appended when none is removed."""
+    i = np.flatnonzero(np.all(pts == remove, axis=1))[:1]
+    rest = np.delete(pts, i, axis=0)
+    return rest if add is None else np.insert(rest, i[0] if i.size else len(rest), add, axis=0)
+
+
+def _cached_walk(q, steps, seen):
+    """A seeded walk of adds, removes, swaps and reorderings, accepted and
+    rejected, priced by ratios that read the memo and the feature-row cache.
+    Yields one record per ratio, after the walk has taken or refused the
+    move; ``seen`` counts the kinds of step."""
+    m = helpers.small_dpp_model(q=q)
+    rng = np.random.default_rng(18)
+    memo, rows = {}, {}
+    pts = rng.uniform(0.6, 1.9, size=(3, q))
+    kinds = ["add", "remove", "swap", "swap", "permute"]
+    for _ in range(steps):
+        kind, add, remove = _proposal(rng, pts, kinds, duplicates=q == 3)
+        seen[kind] += 1
+        if kind == "permute":
+            pts = pts[rng.permutation(len(pts))]
+            continue
+        step = {"model": m, "before": pts, "after": _after(pts, add, remove), "rows": rows,
+                "plain": dpp_log_ratio(m, pts, add=add, remove=remove),
+                "got": dpp_log_ratio(m, pts, add=add, remove=remove, memo=memo, rows=rows)}
+        seen["-inf"] += step["got"] == -math.inf
+        if math.log(rng.random()) < step["got"]:
+            pts = step["after"]
+            seen["accepted"] += 1
+        step["now"] = pts
+        yield step
+
+
+def _walk_seen():
+    return {"add": 0, "remove": 0, "swap": 0, "permute": 0, "accepted": 0, "-inf": 0}
 
 
 @pytest.mark.parametrize("q, steps", [(3, 400), (6, 40)])
@@ -236,30 +292,41 @@ def test_cached_ratio_equals_the_plain_call(q, steps):
     their last bits, and 82 of their log densities did.  A repeated point is
     left out there, since its density is decided by those bits.
     """
-    m = helpers.small_dpp_model(q=q)
-    rng = np.random.default_rng(18)
-    memo, rows = {}, {}
-    pts = rng.uniform(0.6, 1.9, size=(3, q))
-    kinds = ["add", "remove", "swap", "swap", "permute"]
-    seen = {"add": 0, "remove": 0, "swap": 0, "permute": 0, "accepted": 0, "-inf": 0}
-    for _ in range(steps):
-        kind, add, remove = _proposal(rng, pts, kinds, duplicates=q == 3)
-        seen[kind] += 1
-        if kind == "permute":
-            pts = pts[rng.permutation(len(pts))]
-            continue
-        plain = dpp_log_ratio(m, pts, add=add, remove=remove)
-        got = dpp_log_ratio(m, pts, add=add, remove=remove, memo=memo, rows=rows)
-        after = _after(pts, add, remove)
+    seen = _walk_seen()
+    for step in _cached_walk(q, steps, seen):
+        m, got, plain = step["model"], step["got"], step["plain"]
         if q == 3 or got == plain:
             assert _bits(got) == _bits(plain)
         else:
-            scale = abs(dpp_log_density(m, after)) + abs(dpp_log_density(m, pts))
+            scale = abs(dpp_log_density(m, step["after"])) + abs(dpp_log_density(m, step["before"]))
             assert abs(got - plain) <= 1e-12 * scale, (got, plain)
-        seen["-inf"] += got == -math.inf
-        if math.log(rng.random()) < got:
-            pts = after
-            seen["accepted"] += 1
+    assert all(v > 0 for v in seen.values()), seen
+
+
+@pytest.mark.parametrize("q, steps", [(3, 400), (6, 40)])
+def test_cached_stored_sample_joint_equals_the_plain_call(q, steps):
+    """After every ratio of the walk above, the log joint of a state holding
+    the walk's points, given the feature-row cache the ratios left, equals
+    the plain call: bit for bit at q = 3, and within 1e-12 of the density's
+    magnitude at q = 6, where a cached row's one-row product rounds
+    differently (see the test above)."""
+    seq = EventSequence(np.array([1.0]), np.array([0]), 5.0)
+    data = Dataset([seq], n_types=q)
+    basis = BasisConfig.for_data(data, n_basis=2)
+    prior = PriorBundle()
+    w = np.full((q, q, 2), 0.1)
+    seen = _walk_seen()
+    for step in _cached_walk(q, steps, seen):
+        m, pts = step["model"], step["now"]
+        comps = [Component(mu, w, 1.0) for mu in pts]
+        state = MixtureState(comps[:1], comps[1:], np.array([0]), 1.0, basis)
+        cols = np.zeros((1, len(comps)))
+        plain = state_log_joint(state, data, prior, m, cols)
+        got = state_log_joint(state, data, prior, m, cols, step["rows"])
+        if q == 3 or got == plain:
+            assert _bits(got) == _bits(plain)
+        else:
+            assert abs(got - plain) <= 1e-12 * abs(dpp_log_density(m, pts)), (got, plain)
     assert all(v > 0 for v in seen.values()), seen
 
 

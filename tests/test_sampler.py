@@ -502,38 +502,69 @@ def test_fit_keeps_its_bytes(tmp_path, monkeypatch):
 def test_a_dpp_ratio_computes_fewer_than_two_densities(tmp_path, monkeypatch):
     """The sampler's repulsive-prior ratios read the density of the
     configuration they start from out of the fit context's memo whenever the
-    previous ratio evaluated it; without the memo each computes two.  They
-    read the feature rows of every point but a proposed one from the
-    context's cache, so after the first ratio each computes at most one."""
+    previous ratio evaluated it; without the memo each computes two.  A walk
+    ratio puts the proposed base rates in the old ones' slot, where an
+    accepted walk keeps them, so the ratio that follows it computes one.
+    The ratios read the feature rows of every point but a proposed one from
+    the context's cache, so after the first each computes at most one, and a
+    stored sample's log joint, which reads the same cache, computes none."""
     from tppcluster import dpp, sampler
 
-    calls = {"ratio": 0, "density": 0, "first": None}
-    rows = []
-    ratio, density = sampler.dpp_log_ratio, dpp.dpp_log_density
-    feature_rows = dpp.DppSpectralModel.feature_rows
+    calls = {"ratio": 0, "density": 0, "first": None, "after_walk": 0, "joint": 0}
+    trig = {"ratio": [], "joint": []}  # rows of trigonometry, per caller
+    where, walked = [None], [None]
+    ratio, density, joint = sampler.dpp_log_ratio, dpp.dpp_log_density, sampler.state_log_joint
+    gram, feature_rows = dpp.DppSpectralModel.gram, dpp.DppSpectralModel.feature_rows
 
-    def counted_ratio(*args, **kwargs):
+    def counted_ratio(model, points, add=None, remove=None, **kwargs):
         calls["ratio"] += 1
-        del rows[:]
-        out = ratio(*args, **kwargs)
-        calls["first"] = sum(rows) if calls["first"] is None else calls["first"]
-        assert calls["ratio"] == 1 or sum(rows) <= 1, rows
+        densities = calls["density"]
+        del trig["ratio"][:]
+        where[0] = "ratio"
+        out = ratio(model, points, add=add, remove=remove, **kwargs)
+        where[0] = None
+        rows = sum(trig["ratio"])
+        calls["first"] = rows if calls["first"] is None else calls["first"]
+        assert calls["ratio"] == 1 or rows <= 1, trig
+        if points.tobytes() == walked[0]:  # the state an accepted walk left
+            calls["after_walk"] += 1
+            assert calls["density"] - densities == 1
+        walked[0] = None
+        if add is not None and remove is not None:
+            slot = points.copy()
+            slot[(points == remove).all(axis=1).argmax()] = add
+            walked[0] = slot.tobytes()
         return out
 
     def counted_density(*args):
         calls["density"] += 1
         return density(*args)
 
-    def counted_rows(self, x):
-        rows.append(len(x))
-        return feature_rows(self, x)
+    def counted_joint(*args):
+        calls["joint"] += 1
+        where[0] = "joint"
+        try:
+            return joint(*args)
+        finally:
+            where[0] = None
+
+    def counted(method):
+        def wrapper(self, x):
+            if where[0] is not None:
+                trig[where[0]].append(len(x))
+            return method(self, x)
+        return wrapper
 
     monkeypatch.setattr(sampler, "dpp_log_ratio", counted_ratio)
     monkeypatch.setattr(dpp, "dpp_log_density", counted_density)
-    monkeypatch.setattr(dpp.DppSpectralModel, "feature_rows", counted_rows)
+    monkeypatch.setattr(sampler, "state_log_joint", counted_joint)
+    monkeypatch.setattr(dpp.DppSpectralModel, "gram", counted(gram))
+    monkeypatch.setattr(dpp.DppSpectralModel, "feature_rows", counted(feature_rows))
     _small_cli_fit(tmp_path)
     assert calls["ratio"] > 0 and calls["first"] >= 2
     assert calls["density"] / calls["ratio"] < 1.5, calls
+    assert calls["after_walk"] > 0 and calls["joint"] > 0, calls
+    assert trig["joint"] == [], trig
 
 
 def test_component_relabeling_does_not_change_the_chain():
