@@ -17,17 +17,9 @@ longer distances; ``rho`` controls the expected number of points.
 
 The Gram matrix is assembled from per-point cosine and sine features of the
 lattice frequencies, whose trigonometry is most of a density's cost.  A
-density ratio is the difference of two full log-densities; given a memo of
-the densities its last call computed, it computes only the ones it has not
-seen.  A swap puts the added point in the removed point's slot, the order a
-chain that replaces one point in place keeps, so a chain that proposes from
-the configuration the last ratio started from or moved to prices each move
-with one density.  Given a cache of the points' feature rows (2 n_z floats,
-2 n_z 8 bytes, per point), a density it does compute runs the trigonometry
-only for the point the move adds: none for a death or for a configuration
-whose points were reordered, nor for a density of cached points computed
-outside a ratio.  The Gram product and its log-determinant are still formed
-in full.  The lattice has (2L+1)^q frequencies; models with more than
+density ratio is the difference of two full log-densities; a ``DppCache``
+lets a chain of ratios reuse the densities and feature rows it has already
+computed.  The lattice has (2L+1)^q frequencies; models with more than
 ``MAX_LATTICE_SIZE`` are refused.
 """
 
@@ -35,7 +27,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
@@ -44,6 +36,7 @@ import numpy as np
 from .core import ConfigError, Dataset, DppConfig
 
 __all__ = [
+    "DppCache",
     "DppSpectralModel",
     "build_spectral_model",
     "model_for_data",
@@ -84,7 +77,12 @@ class DppSpectralModel:
         return (points - self.box_lo) / (self.box_hi - self.box_lo)
 
     def in_box(self, point: np.ndarray) -> bool:
-        return bool(np.all(point >= self.box_lo) and np.all(point <= self.box_hi))
+        """Whether every coordinate lies in the box, faces included.  It
+        compares Python floats, so a NaN lies outside; at small q numpy's
+        per-call cost would exceed the comparisons."""
+        bounds = zip(np.asarray(point, dtype=np.float64).tolist(),
+                     self.box_lo.tolist(), self.box_hi.tolist())
+        return all(lo <= v <= hi for v, lo, hi in bounds)
 
     @cached_property
     def _lattice_t(self) -> np.ndarray:
@@ -102,18 +100,14 @@ class DppSpectralModel:
         are most of a density's cost.  The lattice is symmetric, so the
         imaginary parts of the complex expansion cancel exactly.
         """
-        ang = 2.0 * math.pi * (x @ self._lattice_t)
-        return self.gram_of(np.cos(ang), np.sin(ang))
+        return self.gram_of(*self.feature_rows(x))
 
     def gram_of(self, c: np.ndarray, s: np.ndarray) -> np.ndarray:
         """The Gram matrix of the points whose feature rows are ``c`` and ``s``."""
         return (c * self.phi_tilde) @ c.T + (s * self.phi_tilde) @ s.T
 
     def feature_rows(self, x: np.ndarray) -> np.ndarray:
-        """``C`` and ``S`` of ``gram`` stacked, shape (2, len(x), n_z).  They
-        have ``gram``'s bits wherever BLAS rounds ``x @ lattice.T`` alike for
-        these rows and for ``gram``'s: seen at q <= 3, while at q = 6 OpenBLAS
-        rounds a one-row product differently from a several-row one."""
+        """``C`` and ``S`` of ``gram`` stacked, shape (2, len(x), n_z)."""
         ang = 2.0 * math.pi * (x @ self._lattice_t)
         rows = np.empty((2,) + ang.shape)
         np.cos(ang, out=rows[0])
@@ -219,67 +213,89 @@ def model_for_data(data: Dataset, cfg: DppConfig, default_rho: float) -> DppSpec
 def _row_keys(points: np.ndarray) -> list[bytes]:
     """The bytes of each row of a (k, q) float64 configuration."""
     whole = points.tobytes()
-    width = len(whole) // len(points)
+    width = points.itemsize * points.shape[1]
     return [whole[i:i + width] for i in range(0, len(whole), width)]
 
 
-def _cached_features(model: DppSpectralModel, points: np.ndarray,
-                     rows: dict[bytes, np.ndarray]) -> np.ndarray | None:
-    """The (2, k, n_z) feature rows of ``points``, read from ``rows`` by each
-    point's bytes; a point not there is box-checked (None when it is
-    outside), computed and added.  The check compares Python floats: at
-    q = 3 numpy's per-call cost would exceed the trigonometry saved."""
-    keys = _row_keys(points)
-    for i, key in enumerate(keys):
-        if key not in rows:
-            bounds = zip(points[i].tolist(), model.box_lo.tolist(), model.box_hi.tolist())
-            if any(v < lo or v > hi for v, lo, hi in bounds):
-                return None
-            rows[key] = model.feature_rows(model.rescale(points[i:i + 1]))
-    return np.concatenate([rows[key] for key in keys], axis=1)
+@dataclass
+class DppCache:
+    """What a chain of densities and ratios under one model reuses.
 
+    ``densities`` maps the bytes of a configuration's ``(k, q)`` array, in
+    order, to its log density; a configuration found there is a lookup, the
+    value those bytes gave before, bit for bit.  A reordered configuration
+    has other bytes and is computed again.  ``rows`` maps the bytes of a
+    point to its (2, 1, n_z) ``feature_rows``, 2 n_z 8 bytes each (250 KB at
+    q = 6, 1.25 MB at q = 7); a density the cache lacks is formed from them,
+    so it runs trigonometry only for points it has not seen, and a point
+    outside the box gets no rows.  The values have the plain call's bits
+    wherever ``feature_rows`` has ``gram``'s: seen at q <= 3, while at q = 6
+    OpenBLAS rounds a one-row product differently from a several-row one.
 
-def dpp_log_density(model: DppSpectralModel, points: np.ndarray,
-                    rows: dict[bytes, np.ndarray] | None = None) -> float:
-    """Log density of a configuration of base-rate vectors (raw coordinates).
-
-    Empty configurations are allowed (density exp(1 - D_app)); configurations
-    with a point outside the box or with a singular Gram matrix have density
-    zero.  Duplicated points are not certain to: the Gram matrix is built by
-    GEMM, so two equal rows can differ in their last bits and leave a large
-    negative but finite value.
-
-    ``rows`` maps the bytes of a point to its (2, 1, n_z) ``feature_rows``
-    under ``model``, 2 n_z 8 bytes each (250 KB at q = 6, 1.25 MB at q = 7).
-    A point found there is neither box-checked again nor recomputed; one
-    that is not is checked, computed and added.  The value then has the
-    bits of the plain call wherever ``feature_rows`` has ``gram``'s.
+    ``dpp_log_density`` adds what it computes.  After ``dpp_log_ratio`` the
+    cache holds what it knows of that ratio's "before" and "after" and
+    nothing else: at most two densities and the rows of their points.
     """
-    points = np.asarray(points, dtype=np.float64)
-    if points.size == 0:
-        return 1.0 - model.d_app
-    if points.ndim == 1:
-        points = points[None, :]
-    if rows is None:
-        if np.any(points < model.box_lo) or np.any(points > model.box_hi):
-            return -math.inf
-        gram = model.gram(model.rescale(points))
-    else:
-        features = _cached_features(model, points, rows)
-        if features is None:
-            return -math.inf
-        gram = model.gram_of(features[0], features[1])
+
+    densities: dict[bytes, float] = field(default_factory=dict)
+    rows: dict[bytes, np.ndarray] = field(default_factory=dict)
+
+    def features(self, model: DppSpectralModel, points: np.ndarray) -> np.ndarray | None:
+        """The (2, k, n_z) feature rows of ``points``, None when one is outside the box."""
+        keys = _row_keys(points)
+        for i, key in enumerate(keys):
+            if key not in self.rows:
+                if not model.in_box(points[i]):
+                    return None
+                self.rows[key] = model.feature_rows(model.rescale(points[i:i + 1]))
+        return np.concatenate([self.rows[key] for key in keys], axis=1)
+
+    def keep(self, *configs: np.ndarray) -> None:
+        """Drop all but the densities of ``configs`` and the rows of their points."""
+        self.densities = {key: self.densities[key] for key in (x.tobytes() for x in configs)
+                          if key in self.densities}
+        self.rows = {key: self.rows[key] for x in configs for key in _row_keys(x)
+                     if key in self.rows}
+
+
+def _log_density(model: DppSpectralModel, gram: np.ndarray) -> float:
+    """The log density of the configuration whose Gram matrix is ``gram``."""
     sign, logdet = np.linalg.slogdet(gram)
     if sign <= 0 or not np.isfinite(logdet):
         return -math.inf
     return 1.0 - model.d_app + float(logdet)
 
 
+def dpp_log_density(model: DppSpectralModel, points: np.ndarray,
+                    cache: DppCache | None = None) -> float:
+    """Log density of a configuration of base-rate vectors (raw coordinates).
+
+    Empty configurations are allowed (density exp(1 - D_app)); configurations
+    with a point outside the box or with a singular Gram matrix have density
+    zero.  Duplicated points are not certain to: the Gram matrix is built by
+    GEMM, so two equal rows can differ in their last bits and leave a large
+    negative but finite value.  With a ``cache`` the density is read from it
+    or computed from its feature rows and stored there.
+    """
+    points = np.asarray(points, dtype=np.float64).reshape(-1, model.q)
+    if not len(points):
+        return 1.0 - model.d_app
+    if cache is None:
+        if not all(model.in_box(p) for p in points):
+            return -math.inf
+        return _log_density(model, model.gram(model.rescale(points)))
+    key = points.tobytes()
+    if key not in cache.densities:
+        features = cache.features(model, points)
+        cache.densities[key] = (-math.inf if features is None
+                                else _log_density(model, model.gram_of(*features)))
+    return cache.densities[key]
+
+
 def dpp_log_ratio(model: DppSpectralModel, points: np.ndarray,
                   add: np.ndarray | None = None,
                   remove: np.ndarray | None = None,
-                  memo: dict[bytes, float] | None = None,
-                  rows: dict[bytes, np.ndarray] | None = None) -> float:
+                  cache: DppCache | None = None) -> float:
     """Log-density change of adding and/or removing one point.
 
     ``remove`` is matched against ``points`` by exact coordinates.  The value
@@ -287,19 +303,8 @@ def dpp_log_ratio(model: DppSpectralModel, points: np.ndarray,
     holds the added point in the removed point's slot when the call does
     both, and appends it after ``points`` when it only adds; it is -inf
     whenever ``after`` has density zero, also when ``before`` has (where the
-    difference is NaN).
-
-    ``memo`` maps the bytes of a configuration's ``(M, q)`` array, in order,
-    to its log density under ``model``; a configuration found there is not
-    recomputed, so the value is the one those bytes gave before, bit for
-    bit.  A reordered configuration has other bytes and is recomputed.  On
-    return the memo holds the configurations this call evaluated, at most
-    two.  Without a memo both densities are computed.
-
-    ``rows`` is ``dpp_log_density``'s cache of feature rows, shared by both
-    densities: a configuration the memo lacks costs trigonometry only for
-    the point it adds, none for a removal or a reordering.  On return it
-    holds at most the rows of ``points`` and ``add``.
+    difference is NaN).  Both densities go through ``cache`` when one is
+    given, which then keeps only what it holds of them.
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, model.q)
     parts = [points]
@@ -309,26 +314,13 @@ def dpp_log_ratio(model: DppSpectralModel, points: np.ndarray,
             raise ConfigError("point to remove is not part of the configuration")
         parts = [points[:match[0]], points[match[0] + 1:]]
     if add is not None:
-        add = np.asarray(add, dtype=np.float64)
-        parts.insert(1, add[None, :])  # a swap keeps the removed point's slot
+        parts.insert(1, np.asarray(add, dtype=np.float64)[None, :])  # a swap keeps the slot
     after = np.concatenate(parts) if len(parts) > 1 else points
-    known = {} if memo is None else memo
-    seen: dict[bytes, float] = {}
-
-    def density(x: np.ndarray) -> float:
-        key = x.tobytes()
-        seen[key] = known[key] if key in known else dpp_log_density(model, x, rows)
-        return seen[key]
-
-    log_after = density(after)
-    ratio = -math.inf if log_after == -math.inf else log_after - density(points)
-    known.clear()
-    known.update(seen)
-    if rows is not None:  # keep the rows of before and after: the points and add
-        keys = _row_keys(points) if len(points) else []
-        if add is not None:
-            keys.append(add.tobytes())
-        kept = {key: rows[key] for key in keys if key in rows}
-        rows.clear()
-        rows.update(kept)
+    log_after = dpp_log_density(model, after, cache)
+    if log_after == -math.inf:
+        ratio = -math.inf
+    else:
+        ratio = log_after - dpp_log_density(model, points, cache)
+    if cache is not None:
+        cache.keep(points, after)
     return ratio

@@ -18,17 +18,9 @@ One sweep updates, in order:
 
 Each component caches its per-event excitation under its coefficients, so
 the excitation GEMM runs once per value of w: reallocation computes it, and
-the next base-rate walk and Langevin step read their rows from it.  In the
-same way the fit context keeps a memo of the repulsive-prior densities the
-last ratio computed, so a birth, death or walk proposed from the
-configuration the previous one started from, or accepted into, reuses its
-density instead of computing it again; a walk's ratio puts the proposed
-base rates in the old ones' slot, where an accepted walk keeps them.  It
-also keeps the spectral feature rows of the points of that ratio's two
-configurations (2 n_z 8 bytes per point: 250 KB at D = 6), so a density the
-memo lacks, such as one whose points reallocation reordered, costs the
-trigonometry of the proposed point only, and a stored sample's log joint,
-whose points the sweep's ratios have all priced, costs none.
+the next base-rate walk and Langevin step read their rows from it.  Every
+repulsive-prior density of a fit, in its ratios and stored samples alike,
+is passed the fit context's ``DppCache``.
 
 Every Metropolis move exposes its proposal and acceptance log-ratio through a
 small info record so tests can replay it against the full log joint.
@@ -52,7 +44,7 @@ from .core import (
     MixtureState,
     PriorBundle,
 )
-from .dpp import DppSpectralModel, dpp_log_density, dpp_log_ratio
+from .dpp import DppCache, DppSpectralModel, dpp_log_density, dpp_log_ratio
 from .metrics import k_hist_json, m_summary
 
 __all__ = [
@@ -116,11 +108,8 @@ class FitContext:
     prior: PriorBundle
     dpp_model: DppSpectralModel
     config: SamplerConfig
-    # log densities of the configurations the last dpp_log_ratio computed,
-    # keyed by the bytes of their points under dpp_model; each context has its own
-    dpp_memo: dict[bytes, float] = field(default_factory=dict, init=False, repr=False)
-    # and the feature rows of the points of its before and after, keyed by a point's bytes
-    dpp_rows: dict[bytes, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+    # passed to every repulsive-prior density of the fit; each context has its own
+    dpp_cache: DppCache = field(default_factory=DppCache, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -159,8 +148,7 @@ def birth_death_move(state: MixtureState, ctx: FitContext, rng: np.random.Genera
     if rng.random() < cfg.p_birth:
         cube = rng.random(model.q)
         mu_star = model.box_lo + cube * (model.box_hi - model.box_lo)
-        delta = dpp_log_ratio(model, all_mu, add=mu_star, memo=ctx.dpp_memo,
-                              rows=ctx.dpp_rows)
+        delta = dpp_log_ratio(model, all_mu, add=mu_star, cache=ctx.dpp_cache)
         log_acc = delta + psi_log(u) + math.log((1.0 - cfg.p_birth) / (cfg.p_birth * (l + 1)))
         accepted = math.log(rng.random()) < log_acc
         info = {"kind": "birth", "mu": mu_star, "log_acc": log_acc,
@@ -177,8 +165,7 @@ def birth_death_move(state: MixtureState, ctx: FitContext, rng: np.random.Genera
                 "l_before": 0, "noop": True}
     j = int(rng.integers(l))
     victim = state.non_allocated[j]
-    delta = dpp_log_ratio(model, all_mu, remove=victim.mu, memo=ctx.dpp_memo,
-                          rows=ctx.dpp_rows)
+    delta = dpp_log_ratio(model, all_mu, remove=victim.mu, cache=ctx.dpp_cache)
     log_acc = delta - psi_log(u) + math.log(cfg.p_birth * l / (1.0 - cfg.p_birth))
     accepted = math.log(rng.random()) < log_acc
     info = {"kind": "death", "victim": victim, "index": j, "log_acc": log_acc,
@@ -220,7 +207,7 @@ def update_allocated_mu(state: MixtureState, ctx: FitContext, rng: np.random.Gen
             continue
         members = np.flatnonzero(state.c == m)
         delta_dpp = dpp_log_ratio(model, state.all_mu(), add=prop, remove=comp.mu,
-                                  memo=ctx.dpp_memo, rows=ctx.dpp_rows)
+                                  cache=ctx.dpp_cache)
         x = _excitation(comp, ctx, members)
         horizon_sum = float(ctx.features.horizons[members].sum())
         delta_lik = (
@@ -355,7 +342,6 @@ class RunReport:
     sgld_skipped: int
     map_iteration: int
     map_log_joint: float
-    map_labels: np.ndarray
     map_state: MixtureState
     dpp_summary: dict
     wall_clock_sec: float
@@ -398,7 +384,7 @@ def _canonicalize(state: MixtureState) -> MixtureState:
 
 def state_log_joint(state: MixtureState, data: Dataset, prior: PriorBundle,
                     dpp_model: DppSpectralModel, cols: np.ndarray | None = None,
-                    rows: dict[bytes, np.ndarray] | None = None) -> float:
+                    cache: DppCache | None = None) -> float:
     """Unnormalised log joint density of a full mixture state given ``data``
     (up to one state-independent constant):
 
@@ -410,18 +396,14 @@ def state_log_joint(state: MixtureState, data: Dataset, prior: PriorBundle,
 
     ``cols`` are the cached likelihood columns, ``(N, k + l)`` with the
     allocated components first; without them each sequence is scored by
-    ``hawkes_loglik``, the independent reference.  ``rows`` is the fit
-    context's cache of repulsive-prior feature rows (``dpp_log_density``'s
-    ``rows``): the sweep's ratios have already cached every point of the
-    state, so its density runs no trigonometry, only the Gram product and
-    log-determinant.  Without it the density is computed from scratch, the
-    reference the Metropolis-ratio oracle compares against; it is never read
-    from the context's memo of densities.  Invalid states (nonpositive
-    weight seeds or ``u``, points outside the prior box, a singular Gram
-    matrix) get -inf rather than raising, so Metropolis ratios can treat
-    them as auto-rejects.  Duplicated base-rate vectors are not certain to:
-    their Gram matrix may be singular only up to rounding (see
-    ``dpp_log_density``).
+    ``hawkes_loglik``, the independent reference.  A fit passes its
+    context's ``DppCache`` as ``cache``; without it the density is computed
+    from scratch, the reference the Metropolis-ratio oracle compares against.
+    Invalid states (nonpositive weight seeds or ``u``, points outside the
+    prior box, a singular Gram matrix) get -inf rather than raising, so
+    Metropolis ratios can treat them as auto-rejects.  Duplicated base-rate
+    vectors are not certain to: their Gram matrix may be singular only up to
+    rounding (see ``dpp_log_density``).
     """
     n = len(data.sequences)
     if state.c.size != n:
@@ -429,7 +411,7 @@ def state_log_joint(state: MixtureState, data: Dataset, prior: PriorBundle,
     if not (state.u > 0 and np.isfinite(state.u)) or any(
             comp.r <= 0 for comp in state.allocated + state.non_allocated):
         return -math.inf
-    total = dpp_log_density(dpp_model, state.all_mu(), rows)
+    total = dpp_log_density(dpp_model, state.all_mu(), cache)
     if not np.isfinite(total):
         return -math.inf
     counts = state.counts()
@@ -468,7 +450,7 @@ def run_sampler(data: Dataset, init: MixtureState, prior: PriorBundle,
     state = _canonicalize(state)
     if not all(dpp_model.in_box(c.mu) for c in state.allocated + state.non_allocated):
         raise ConfigError("initial base rates must lie inside the prior box")
-    if dpp_log_density(dpp_model, state.all_mu()) == -math.inf:  # a state the prior rules out
+    if dpp_log_density(dpp_model, state.all_mu(), ctx.dpp_cache) == -math.inf:
         raise ConfigError(
             f"the initial state's {state.k + state.l} components have repulsive-prior density "
             f"zero (a singular Gram matrix) at prior.dpp.rho={dpp_model.rho:g}, "
@@ -498,7 +480,7 @@ def run_sampler(data: Dataset, init: MixtureState, prior: PriorBundle,
 
         if sweep > config.burn_in and (sweep - config.burn_in - 1) % config.stride == 0:
             lj = state_log_joint(state, data, prior, dpp_model, _component_columns(state, ctx),
-                                 ctx.dpp_rows)
+                                 ctx.dpp_cache)
             trace.iterations.append(sweep)
             trace.k.append(state.k)
             trace.l.append(state.l)
@@ -511,7 +493,6 @@ def run_sampler(data: Dataset, init: MixtureState, prior: PriorBundle,
             if map_iter is None or lj > map_log_joint:
                 map_log_joint = lj
                 map_iter = sweep
-                map_labels = state.c.copy()
                 map_state = state.copy()
 
     wall = time.perf_counter() - t0
@@ -530,7 +511,6 @@ def run_sampler(data: Dataset, init: MixtureState, prior: PriorBundle,
         sgld_skipped=sgld_skipped,
         map_iteration=map_iter,
         map_log_joint=map_log_joint,
-        map_labels=map_labels,
         map_state=map_state,
         dpp_summary=dpp_model.describe(),
         wall_clock_sec=wall,

@@ -533,5 +533,5 @@ def fit_deterministic(seed=9):
         and r1.trace.k == r2.trace.k
         and all(np.array_equal(x, y) for x, y in zip(r1.trace.labels, r2.trace.labels))
         and r1.report.map_log_joint == r2.report.map_log_joint
-        and np.array_equal(r1.report.map_labels, r2.report.map_labels)
+        and np.array_equal(r1.report.map_state.c, r2.report.map_state.c)
     )

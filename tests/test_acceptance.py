@@ -77,7 +77,7 @@ def delta_sweep():
                     lows.append(means[0])
                     seconds.append(means[1])
             row.append({
-                "purity": purity(res.report.map_labels, truth),
+                "purity": purity(res.report.map_state.c, truth),
                 "mu_low": float(np.mean(lows)),
                 "mu_second": float(np.mean(seconds)),
             })
@@ -136,8 +136,8 @@ def test_mixed_dynamics_clustering_quality():
         })
         res = run_fit(data, cfg)
         truth = data.subset(res.train_idx).labels()
-        purities.append(purity(res.report.map_labels, truth))
-        aris.append(ari(res.report.map_labels, truth))
+        purities.append(purity(res.report.map_state.c, truth))
+        aris.append(ari(res.report.map_state.c, truth))
     wall = time.perf_counter() - t0
     mean_p, mean_a = float(np.mean(purities)), float(np.mean(aris))
     passed = mean_p >= 0.80 and mean_a >= 0.60 and wall <= 1200.0
@@ -169,7 +169,7 @@ def test_cluster_count_identified_on_two_rate_poisson():
     wall = time.perf_counter() - t0
     truth = data.subset(res.train_idx).labels()
     frac2 = float(np.mean(np.asarray(res.trace.k) == 2))
-    p = purity(res.report.map_labels, truth)
+    p = purity(res.report.map_state.c, truth)
     passed = frac2 >= 0.95 and p >= 0.95 and wall <= 60.0
     _record(
         "4. cluster count on 0.2-vs-5.0 two-rate data",

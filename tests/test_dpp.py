@@ -69,6 +69,20 @@ def test_out_of_box_density_is_zero():
     assert dpp_log_density(m, np.array([[1.0, 1.0], [1.0, 2.1]])) == -math.inf
 
 
+def test_the_box_holds_its_faces_and_no_nan_or_infinity():
+    m = helpers.small_dpp_model()  # box [0.5, 2.0]^2
+    for face in ([0.5, 0.5], [2.0, 2.0], [0.5, 2.0], [1.0, 2.0]):
+        assert m.in_box(np.array(face))
+    for bad in (math.nan, math.inf, -math.inf):
+        assert not m.in_box(np.array([1.0, bad])) and not m.in_box(np.array([bad, 1.0]))
+    nan = np.array([1.3, math.nan])
+    pts = np.array([[0.7, 0.9], nan])
+    cache = dpp.DppCache()
+    assert dpp_log_density(m, pts) == -math.inf
+    assert dpp_log_density(m, pts, cache) == -math.inf
+    assert nan.tobytes() not in cache.rows and pts[0].tobytes() in cache.rows
+
+
 def test_duplicate_points_density_is_zero():
     assert helpers.dpp_duplicate_is_neg_inf()
 
@@ -164,19 +178,19 @@ def _bits(x: float) -> bytes:
 def test_memoised_ratio_equals_the_plain_call_bit_for_bit(monkeypatch):
     """Along a seeded walk of adds, removes and swaps, accepted and rejected,
     and of reorderings of the same points, a ratio that reads its densities
-    from the memo has the plain call's bits; it computes exactly the
-    configurations the memo does not hold (a reordered one included), and
-    the memo keeps only the one or two it evaluated last."""
+    from a ``DppCache`` has the plain call's bits; it computes exactly the
+    configurations the cache does not hold (a reordered one included), and
+    the cache keeps only what it holds of the ratio's before and after."""
     m = helpers.small_dpp_model()  # box [0.5, 2.0]^2
-    computed, density = [], dpp.dpp_log_density
+    computed, features, density = [], dpp.DppCache.features, dpp.dpp_log_density
 
-    def counted(model, points, rows=None):  # every configuration dpp_log_ratio computes
-        computed.append(np.asarray(points).tobytes())
-        return density(model, points, rows)
+    def counted(self, model, points):  # every configuration the cache computes
+        computed.append(points.tobytes())
+        return features(self, model, points)
 
-    monkeypatch.setattr(dpp, "dpp_log_density", counted)
+    monkeypatch.setattr(dpp.DppCache, "features", counted)
     rng = np.random.default_rng(14)
-    memo: dict = {}
+    cache = dpp.DppCache()
     pts = np.zeros((0, m.q))
     seen = {"empty": 0, "hit": 0, "outside": 0, "duplicate": 0, "accepted": 0,
             "rejected": 0, "missing": 0, "permuted": 0}
@@ -187,7 +201,7 @@ def test_memoised_ratio_equals_the_plain_call_bit_for_bit(monkeypatch):
         add = remove = None
         if kind == "missing":
             with pytest.raises(ConfigError):
-                dpp_log_ratio(m, pts, remove=np.array([0.55, 0.55]), memo=memo)
+                dpp_log_ratio(m, pts, remove=np.array([0.55, 0.55]), cache=cache)
             seen["missing"] += 1
             continue
         if kind == "permute":  # the same points in another order
@@ -203,15 +217,17 @@ def test_memoised_ratio_equals_the_plain_call_bit_for_bit(monkeypatch):
                    else rng.uniform(0.6, 1.9, size=m.q))
         after = _after(pts, add, remove)
         plain = dpp_log_ratio(m, pts, add=add, remove=remove)
-        held = set(memo)
+        held = set(cache.densities)
         seen["hit"] += pts.tobytes() in held
         del computed[:]
-        got = dpp_log_ratio(m, pts, add=add, remove=remove, memo=memo)
+        got = dpp_log_ratio(m, pts, add=add, remove=remove, cache=cache)
         assert _bits(got) == _bits(plain)
-        evaluated = {after.tobytes()} | ({pts.tobytes()} if got != -math.inf else set())
-        assert set(memo) == evaluated and len(memo) <= 2
+        evaluated = {after.tobytes(), pts.tobytes()} - {b""}  # an empty one is a constant
+        if got == -math.inf:  # "before" is not priced, only kept when held
+            evaluated -= {pts.tobytes()} - held
+        assert set(cache.densities) == evaluated and len(cache.densities) <= 2
         assert sorted(computed) == sorted(evaluated - held)  # a reordering is not held
-        for key, value in memo.items():  # a stored density is the one its bytes give
+        for key, value in cache.densities.items():  # a stored density is the one its bytes give
             assert _bits(value) == _bits(density(m, np.frombuffer(key).reshape(-1, m.q)))
         if got == -math.inf:
             seen["outside" if add is not None and add[0] > 2.0 else "duplicate"] += 1
@@ -251,12 +267,12 @@ def _after(pts, add, remove):
 
 def _cached_walk(q, steps, seen):
     """A seeded walk of adds, removes, swaps and reorderings, accepted and
-    rejected, priced by ratios that read the memo and the feature-row cache.
-    Yields one record per ratio, after the walk has taken or refused the
-    move; ``seen`` counts the kinds of step."""
+    rejected, priced by ratios that read a ``DppCache``.  Yields one record
+    per ratio, after the walk has taken or refused the move; ``seen`` counts
+    the kinds of step."""
     m = helpers.small_dpp_model(q=q)
     rng = np.random.default_rng(18)
-    memo, rows = {}, {}
+    cache = dpp.DppCache()
     pts = rng.uniform(0.6, 1.9, size=(3, q))
     kinds = ["add", "remove", "swap", "swap", "permute"]
     for _ in range(steps):
@@ -265,9 +281,9 @@ def _cached_walk(q, steps, seen):
         if kind == "permute":
             pts = pts[rng.permutation(len(pts))]
             continue
-        step = {"model": m, "before": pts, "after": _after(pts, add, remove), "rows": rows,
+        step = {"model": m, "before": pts, "after": _after(pts, add, remove), "cache": cache,
                 "plain": dpp_log_ratio(m, pts, add=add, remove=remove),
-                "got": dpp_log_ratio(m, pts, add=add, remove=remove, memo=memo, rows=rows)}
+                "got": dpp_log_ratio(m, pts, add=add, remove=remove, cache=cache)}
         seen["-inf"] += step["got"] == -math.inf
         if math.log(rng.random()) < step["got"]:
             pts = step["after"]
@@ -306,7 +322,7 @@ def test_cached_ratio_equals_the_plain_call(q, steps):
 @pytest.mark.parametrize("q, steps", [(3, 400), (6, 40)])
 def test_cached_stored_sample_joint_equals_the_plain_call(q, steps):
     """After every ratio of the walk above, the log joint of a state holding
-    the walk's points, given the feature-row cache the ratios left, equals
+    the walk's points, given the ``DppCache`` the ratios left, equals
     the plain call: bit for bit at q = 3, and within 1e-12 of the density's
     magnitude at q = 6, where a cached row's one-row product rounds
     differently (see the test above)."""
@@ -322,7 +338,7 @@ def test_cached_stored_sample_joint_equals_the_plain_call(q, steps):
         state = MixtureState(comps[:1], comps[1:], np.array([0]), 1.0, basis)
         cols = np.zeros((1, len(comps)))
         plain = state_log_joint(state, data, prior, m, cols)
-        got = state_log_joint(state, data, prior, m, cols, step["rows"])
+        got = state_log_joint(state, data, prior, m, cols, step["cache"])
         if q == 3 or got == plain:
             assert _bits(got) == _bits(plain)
         else:
@@ -344,10 +360,10 @@ def test_a_cached_ratio_computes_the_features_of_the_point_it_adds(monkeypatch):
 
     monkeypatch.setattr(dpp.DppSpectralModel, "feature_rows", counted)
     rng = np.random.default_rng(5)
-    memo, rows = {}, {}
+    cache = dpp.DppCache()
     pts = rng.uniform(0.6, 1.9, size=(3, 3))
-    dpp_log_density(m, pts, rows)
-    assert computed == [1, 1, 1] and set(rows) == {p.tobytes() for p in pts}
+    dpp_log_density(m, pts, cache)
+    assert computed == [1, 1, 1] and set(cache.rows) == {p.tobytes() for p in pts}
     seen = {"add": 0, "remove": 0, "swap": 0, "reordered": 0, "outside": 0, "repeat": 0}
     reordered = False
     for _ in range(400):
@@ -357,14 +373,14 @@ def test_a_cached_ratio_computes_the_features_of_the_point_it_adds(monkeypatch):
             reordered = True
             continue
         held = {p.tobytes() for p in pts}
-        seen["reordered"] += reordered and pts.tobytes() not in memo
+        seen["reordered"] += reordered and pts.tobytes() not in cache.densities
         reordered = False
         del computed[:]
-        got = dpp_log_ratio(m, pts, add=add, remove=remove, memo=memo, rows=rows)
+        got = dpp_log_ratio(m, pts, add=add, remove=remove, cache=cache)
         outside = add is not None and add[0] > 2.0
         repeat = add is not None and add.tobytes() in held
         assert computed == ([1] if add is not None and not (outside or repeat) else [])
-        assert set(rows) <= held | ({add.tobytes()} if add is not None else set())
+        assert set(cache.rows) <= held | ({add.tobytes()} if add is not None else set())
         seen["outside" if outside else "repeat" if repeat else kind] += 1
         if math.log(rng.random()) < got:
             pts = _after(pts, add, remove)

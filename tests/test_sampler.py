@@ -501,20 +501,20 @@ def test_fit_keeps_its_bytes(tmp_path, monkeypatch):
 
 def test_a_dpp_ratio_computes_fewer_than_two_densities(tmp_path, monkeypatch):
     """The sampler's repulsive-prior ratios read the density of the
-    configuration they start from out of the fit context's memo whenever the
-    previous ratio evaluated it; without the memo each computes two.  A walk
-    ratio puts the proposed base rates in the old ones' slot, where an
-    accepted walk keeps them, so the ratio that follows it computes one.
-    The ratios read the feature rows of every point but a proposed one from
-    the context's cache, so after the first each computes at most one, and a
+    configuration they start from out of the fit context's ``DppCache``
+    whenever the previous ratio evaluated it; without the cache each computes
+    two.  A walk ratio puts the proposed base rates in the old ones' slot,
+    where an accepted walk keeps them, so the ratio that follows it computes
+    one.  The start check computes the feature rows of every initial point;
+    the ratios read them from the cache, so each computes at most one, and a
     stored sample's log joint, which reads the same cache, computes none."""
     from tppcluster import dpp, sampler
 
     calls = {"ratio": 0, "density": 0, "first": None, "after_walk": 0, "joint": 0}
-    trig = {"ratio": [], "joint": []}  # rows of trigonometry, per caller
+    trig = {"start": [], "ratio": [], "joint": []}  # rows of trigonometry, per caller
     where, walked = [None], [None]
-    ratio, density, joint = sampler.dpp_log_ratio, dpp.dpp_log_density, sampler.state_log_joint
-    gram, feature_rows = dpp.DppSpectralModel.gram, dpp.DppSpectralModel.feature_rows
+    ratio, density, joint = sampler.dpp_log_ratio, sampler.dpp_log_density, sampler.state_log_joint
+    features, feature_rows = dpp.DppCache.features, dpp.DppSpectralModel.feature_rows
 
     def counted_ratio(model, points, add=None, remove=None, **kwargs):
         calls["ratio"] += 1
@@ -524,8 +524,8 @@ def test_a_dpp_ratio_computes_fewer_than_two_densities(tmp_path, monkeypatch):
         out = ratio(model, points, add=add, remove=remove, **kwargs)
         where[0] = None
         rows = sum(trig["ratio"])
-        calls["first"] = rows if calls["first"] is None else calls["first"]
-        assert calls["ratio"] == 1 or rows <= 1, trig
+        calls["first"] = calls["density"] - densities if calls["first"] is None else calls["first"]
+        assert rows <= 1, trig
         if points.tobytes() == walked[0]:  # the state an accepted walk left
             calls["after_walk"] += 1
             assert calls["density"] - densities == 1
@@ -536,9 +536,18 @@ def test_a_dpp_ratio_computes_fewer_than_two_densities(tmp_path, monkeypatch):
             walked[0] = slot.tobytes()
         return out
 
-    def counted_density(*args):
+    def counted_features(*args):  # every density the cache computes
         calls["density"] += 1
-        return density(*args)
+        return features(*args)
+
+    def counted_density(*args):  # the start check, or the joint's density
+        if where[0] is not None:
+            return density(*args)
+        where[0] = "start"
+        try:
+            return density(*args)
+        finally:
+            where[0] = None
 
     def counted_joint(*args):
         calls["joint"] += 1
@@ -548,23 +557,49 @@ def test_a_dpp_ratio_computes_fewer_than_two_densities(tmp_path, monkeypatch):
         finally:
             where[0] = None
 
-    def counted(method):
-        def wrapper(self, x):
-            if where[0] is not None:
-                trig[where[0]].append(len(x))
-            return method(self, x)
-        return wrapper
+    def counted_rows(self, x):
+        if where[0] is not None:
+            trig[where[0]].append(len(x))
+        return feature_rows(self, x)
 
     monkeypatch.setattr(sampler, "dpp_log_ratio", counted_ratio)
-    monkeypatch.setattr(dpp, "dpp_log_density", counted_density)
+    monkeypatch.setattr(sampler, "dpp_log_density", counted_density)
     monkeypatch.setattr(sampler, "state_log_joint", counted_joint)
-    monkeypatch.setattr(dpp.DppSpectralModel, "gram", counted(gram))
-    monkeypatch.setattr(dpp.DppSpectralModel, "feature_rows", counted(feature_rows))
+    monkeypatch.setattr(dpp.DppCache, "features", counted_features)
+    monkeypatch.setattr(dpp.DppSpectralModel, "feature_rows", counted_rows)
     _small_cli_fit(tmp_path)
-    assert calls["ratio"] > 0 and calls["first"] >= 2
+    assert calls["ratio"] > 0 and sum(trig["start"]) >= 2 and calls["first"] <= 1, (calls, trig)
     assert calls["density"] / calls["ratio"] < 1.5, calls
     assert calls["after_walk"] > 0 and calls["joint"] > 0, calls
     assert trig["joint"] == [], trig
+
+
+def test_a_stored_sample_joint_is_a_lookup(tmp_path, monkeypatch):
+    """Every stored sample's configuration, in order, is in the fit
+    context's ``DppCache`` when its log joint is taken, so its density forms
+    no Gram matrix."""
+    from tppcluster import dpp, sampler
+
+    joint, gram_of = sampler.state_log_joint, dpp.DppSpectralModel.gram_of
+    calls = {"joint": 0, "gram": 0}
+    inside = [False]
+
+    def counted_joint(*args):
+        calls["joint"] += 1
+        inside[0] = True
+        try:
+            return joint(*args)
+        finally:
+            inside[0] = False
+
+    def counted_gram(self, c, s):
+        calls["gram"] += inside[0]
+        return gram_of(self, c, s)
+
+    monkeypatch.setattr(sampler, "state_log_joint", counted_joint)
+    monkeypatch.setattr(dpp.DppSpectralModel, "gram_of", counted_gram)
+    _small_cli_fit(tmp_path)
+    assert calls == {"joint": 20, "gram": 0}, calls
 
 
 def test_component_relabeling_does_not_change_the_chain():
@@ -592,7 +627,7 @@ def test_map_is_the_best_stored_sample():
     best = int(np.argmax(trace.log_joint))
     assert report.map_log_joint == trace.log_joint[best]
     assert report.map_iteration == trace.iterations[best]
-    assert np.array_equal(report.map_labels, trace.labels[best])
+    assert np.array_equal(report.map_state.c, trace.labels[best])
     assert report.map_state is not None
     assert report.kl_mean >= report.k_mean
     assert set(report.acceptance) == {"birth", "death", "mu_walk"}
@@ -659,4 +694,4 @@ def test_two_well_separated_clusters_are_recovered(tiny2):
     trace, report = run_sampler(tiny2, init, prior, cfg, features, dpp_model)
     ks = np.asarray(trace.k)
     assert (ks == 2).mean() >= 0.9
-    assert purity(report.map_labels, labels) >= 0.9
+    assert purity(report.map_state.c, labels) >= 0.9
