@@ -177,9 +177,11 @@ class FeatureSet:
     sequence lengths) never enter it and read zero in every per-event block.
     The likelihood columns likewise form rates and logs on the real slots
     only, but sum each sequence's logs at the padded width, so that each sum
-    groups its additions as the padded layout's row sum does.  Every call
-    scores the store it is called on: a subset is ``take(idx)``;
-    ``rows(idx)`` cuts a per-event block.
+    groups its additions as the padded layout's row sum does.  ``rows(idx)``
+    cuts the sequences ``idx``'s slots from a per-event block: the minibatch
+    gradient ``grad_a`` and ``event_term`` read their rows in place this way.
+    The other calls score the store they are called on, and ``take(idx)`` is
+    the store of a subset.
     """
 
     def __init__(self, data: Dataset, basis: BasisConfig):
@@ -245,10 +247,9 @@ class FeatureSet:
 
     @cached_property
     def _real(self):
-        """The store's real event slots, built on a store's first score so the
-        SGLD minibatch stores of ``grad_a`` never pay for it: their flat padded
-        index, a contiguous ``(E, D·n_basis)`` copy of their ``excite`` rows,
-        the flat index of each event's own-type column in an ``(E, D)``
+        """The store's real event slots, built on its first score: their flat
+        padded index, a contiguous ``(E, D·n_basis)`` copy of their ``excite``
+        rows, the flat index of each event's own-type column in an ``(E, D)``
         product, and their types."""
         slots = np.flatnonzero(self.mask.ravel())
         D = self.n_types
@@ -274,8 +275,11 @@ class FeatureSet:
 
     # -- likelihood columns -------------------------------------------------
 
-    def loglik_all(self, mu: np.ndarray, a: np.ndarray, x=None) -> np.ndarray:
-        """Per-sequence log likelihood under (mu, a); shape (N,).
+    def loglik_all(self, mu: np.ndarray, a: np.ndarray, x=None, log_rates=False):
+        """Per-sequence log likelihood under (mu, a); shape (N,).  With
+        ``log_rates``, also the ``(N, I_max)`` block of event log-rates it is
+        summed from, padded slots zero and nonpositive rates ``-inf``: the
+        block whose ``rows(idx)`` sum is ``event_term(mu, x[rows(idx)], idx)``.
 
         ``x`` is ``excitation(a)`` when the caller already has it.  Rates and
         logs are formed on the real event slots only; the logs are then laid
@@ -292,8 +296,8 @@ class FeatureSet:
         ev = logs.reshape(self.mask.shape).sum(axis=1)
         col = a.sum(axis=0).ravel()  # (D·n_basis,): a source slot's weight on all targets
         out = ev - self.horizons * mu.sum() - self.comp.reshape(-1, col.size) @ col
-        out[slots[~ok] // self.mask.shape[1]] = -np.inf
-        return out
+        out[slots[~ok] // self.mask.shape[1]] = logs[slots[~ok]] = -np.inf
+        return (out, logs.reshape(self.mask.shape)) if log_rates else out
 
     # -- base-rate move helpers ---------------------------------------------
 
@@ -309,31 +313,40 @@ class FeatureSet:
 
     # -- gradients ----------------------------------------------------------
 
+    def _grad(self, mu: np.ndarray, a: np.ndarray, idx, x):
+        """``(W, a-gradient)`` over the sequences ``idx``, read in place from
+        their ``rows(idx)`` with their excitation block ``x``, or None when
+        some event rate is nonpositive.  ``W`` has ``onehot / lambda``'s values
+        (``1/lambda`` at each slot's own type), so the ``mu`` part is its
+        column sums and the ``a`` part the GEMM ``Wᵀ @ excite``."""
+        rows, D = self.rows(idx), self.n_types
+        types, mask = self.types[rows], self.mask[rows]
+        lam = mu[types] + x
+        if np.any((lam <= 0) & mask):
+            return None
+        inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=mask)
+        W = np.zeros((inv.size, D))
+        W.reshape(-1)[np.arange(0, W.size, D) + types.ravel()] = inv.ravel()
+        ga = (W.T @ self.excite[rows].reshape(-1, a[0].size)).reshape(a.shape)
+        ga -= self.comp[idx].sum(axis=0)[None, :, :]
+        return W, ga
+
     def loglik_grad(self, mu: np.ndarray, a: np.ndarray, x=None):
         """Summed gradient of the log likelihood over every sequence; shapes
         (D,), (D, D, n_basis), or None when some event rate is nonpositive
         (invalid point).  ``x`` is ``excitation(a)`` when the caller already
-        has it.
-
-        With ``W = onehot / lambda`` over the event slots, the ``mu`` part is
-        the column sums of ``W`` and the ``a`` part the GEMM ``Wᵀ @ excite``.
-        """
-        lam = mu[self.types] + (self.excitation(a) if x is None else x)
-        if np.any((lam <= 0) & self.mask):
-            return None
-        inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=self.mask)
-        W = (self.onehot * inv[..., None]).reshape(-1, self.n_types)
-        ga = (W.T @ self.excite.reshape(-1, a[0].size)).reshape(a.shape)
-        ga -= self.comp.sum(axis=0)[None, :, :]
-        return W.sum(axis=0) - self.horizons.sum(), ga
+        has it."""
+        grad = self._grad(mu, a, slice(None), self.excitation(a) if x is None else x)
+        return None if grad is None else (grad[0].sum(axis=0) - self.horizons.sum(), grad[1])
 
     def grad_a(self, mu: np.ndarray, a: np.ndarray, idx, x=None) -> np.ndarray | None:
         """Summed gradient of the log likelihood in ``a`` over sequences ``idx``,
-        scored on ``take(idx)``; ``x`` is its excitation block when the caller
-        already has it.  Returns None when some event rate is nonpositive
-        (invalid point).
+        read in place from their rows, with the bits of
+        ``take(idx).loglik_grad(mu, a, x)[1]``; ``x`` is their excitation block
+        when the caller already has it, else that of ``take(idx)``.  Returns
+        None when some event rate is nonpositive (invalid point).
         """
-        grad = self.take(idx).loglik_grad(mu, a, x)
+        grad = self._grad(mu, a, idx, self.take(idx).excitation(a) if x is None else x)
         return None if grad is None else grad[1]
 
 

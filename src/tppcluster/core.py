@@ -351,11 +351,13 @@ class Component:
     """One mixture component: base rates, triggering coefficients, weight seed.
 
     mu : (D,) base rates; w : (D, D, n_basis) coefficients; r : gamma weight
-    seed (mixture weight = r / sum of all r).  ``loglik_col`` caches the
-    per-sequence log likelihood under this component and is dropped whenever
-    mu or w changes; ``excitation`` caches the whole feature store's
-    per-event excitation under w, shape (N, I_max), and is dropped whenever w
-    changes.  A copy carries neither.
+    seed (mixture weight = r / sum of all r).  Three caches hold work done
+    under the current parameters: ``excitation``, the whole feature store's
+    per-event excitation under w, shape (N, I_max); ``loglik_col``, the
+    per-sequence log likelihood under (mu, w); and ``log_rates``, the
+    (N, I_max) event log-rates that column was summed from.  ``move`` is the
+    one way to change mu or w, and drops the caches the change makes stale.
+    A copy carries none of them.
     """
 
     mu: np.ndarray
@@ -363,6 +365,16 @@ class Component:
     r: float
     loglik_col: np.ndarray | None = None
     excitation: np.ndarray | None = None
+    log_rates: np.ndarray | None = None
+
+    def move(self, mu: np.ndarray | None = None, w: np.ndarray | None = None) -> None:
+        """Set new base rates and/or coefficients; drops every cache of (mu,
+        w), and the excitation too when w is given."""
+        if w is not None:
+            self.w, self.excitation = w, None
+        if mu is not None:
+            self.mu = mu
+        self.loglik_col = self.log_rates = None
 
     def params(self, basis: BasisConfig) -> HawkesParams:
         return HawkesParams(self.mu, self.w, basis)

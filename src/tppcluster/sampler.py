@@ -18,9 +18,12 @@ One sweep updates, in order:
 
 Each component caches its per-event excitation under its coefficients, so
 the excitation GEMM runs once per value of w: reallocation computes it, and
-the next base-rate walk and Langevin step read their rows from it.  Every
-repulsive-prior density of a fit, in its ratios and stored samples alike,
-is passed the fit context's ``DppCache``.
+the next base-rate walk and Langevin step read their rows from it in place.
+Reallocation also caches the event log-rates its likelihood column sums,
+under the same (mu, w), and the next walk reads its current rates' term from
+them, so it scores only the proposal.  ``Component.move`` drops these caches
+when mu or w changes.  Every repulsive-prior density of a fit, in its ratios
+and stored samples alike, is passed the fit context's ``DppCache``.
 
 Every Metropolis move exposes its proposal and acceptance log-ratio through a
 small info record so tests can replay it against the full log joint.
@@ -93,8 +96,10 @@ class SamplerConfig:
             raise ConfigError("p_birth must lie strictly between 0 and 1")
         if self.bd_attempts < 0:
             raise ConfigError("bd_attempts must be nonnegative")
-        if self.s_mu <= 0:
-            raise ConfigError("proposal scale s_mu must be positive")
+        # a step wider than the box leaves it almost surely; far wider, it overflows
+        if not 0.0 < self.s_mu <= 1.0:
+            raise ConfigError(f"proposal scale s_mu must lie in (0, 1] prior-box widths, "
+                              f"got {self.s_mu:g}")
         if self.stride < 1:
             raise ConfigError("stride must be >= 1")
 
@@ -181,8 +186,7 @@ def refresh_non_allocated(state: MixtureState, ctx: FitContext, rng: np.random.G
     u = state.u
     for comp in state.non_allocated:
         comp.r = float(rng.exponential(1.0 / (1.0 + u)))
-        comp.w = ctx.prior.w_sample(rng, comp.w.shape)
-        comp.loglik_col = comp.excitation = None
+        comp.move(w=ctx.prior.w_sample(rng, comp.w.shape))
 
 
 def update_allocated_mu(state: MixtureState, ctx: FitContext, rng: np.random.Generator) -> list[dict]:
@@ -209,18 +213,20 @@ def update_allocated_mu(state: MixtureState, ctx: FitContext, rng: np.random.Gen
         delta_dpp = dpp_log_ratio(model, state.all_mu(), add=prop, remove=comp.mu,
                                   cache=ctx.dpp_cache)
         x = _excitation(comp, ctx, members)
+        # the current rates' term, read from reallocation's log-rates when cached
+        current = (ctx.features.event_term(comp.mu, x, members) if comp.log_rates is None
+                   else float(comp.log_rates[ctx.features.rows(members)].sum()))
         horizon_sum = float(ctx.features.horizons[members].sum())
         delta_lik = (
             ctx.features.event_term(prop, x, members)
-            - ctx.features.event_term(comp.mu, x, members)
+            - current
             - (prop.sum() - comp.mu.sum()) * horizon_sum
         )
         log_acc = delta_dpp + delta_lik
         accepted = math.log(rng.random()) < log_acc
         info.update(log_acc=log_acc, accepted=accepted)
         if accepted:
-            comp.mu = prop
-            comp.loglik_col = None
+            comp.move(mu=prop)
         infos.append(info)
     return infos
 
@@ -256,8 +262,7 @@ def sgld_update_w(state: MixtureState, ctx: FitContext, sweep: int,
             continue
         drift = -ctx.prior.beta_w + (n_m / b) * grad
         noise = rng.normal(0.0, math.sqrt(eps), size=comp.w.shape)
-        comp.w = np.abs(comp.w + noise + 0.5 * eps * drift)
-        comp.loglik_col = comp.excitation = None
+        comp.move(w=np.abs(comp.w + noise + 0.5 * eps * drift))
     return {"eps": eps, "skipped": skipped}
 
 
@@ -266,7 +271,8 @@ def _component_columns(state: MixtureState, ctx: FitContext) -> np.ndarray:
     cols = np.empty((ctx.n, len(comps)))
     for j, comp in enumerate(comps):
         if comp.loglik_col is None:
-            comp.loglik_col = ctx.features.loglik_all(comp.mu, comp.w, x=_excitation(comp, ctx))
+            comp.loglik_col, comp.log_rates = ctx.features.loglik_all(
+                comp.mu, comp.w, x=_excitation(comp, ctx), log_rates=True)
         cols[:, j] = comp.loglik_col
     return cols
 

@@ -250,6 +250,9 @@ def test_fit_rejects_non_finite_times(tmp_path, capsys):
      "overflows at prior.dpp.rho=1e+308, prior.dpp.alpha=10 for q=3"),
     ('{"prior": {"dpp": {"alpha": 1e-150}}}', "repulsive-prior spectral density underflows "
      "to zero at prior.dpp.rho=4, prior.dpp.alpha=1e-150 for q=3"),
+    ('{"sampler": {"s_mu": 1e308}}', "config.sampler: proposal scale s_mu must lie in (0, 1] "
+     "prior-box widths, got"),
+    ('{"sampler": {"s_mu": 1.5}}', "config.sampler: proposal scale s_mu"),
 ])
 def test_fit_rejects_mistyped_config(tmp_path, capsys, text, key):
     cfg = tmp_path / "cfg.json"

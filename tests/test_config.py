@@ -76,7 +76,7 @@ VALID = {
     ("sampler.iterations", "sampler.burn_in"): _lengths(),
     ("sampler.p_birth",): _num(0, 1, exclude_lo=True, exclude_hi=True),
     ("sampler.bd_attempts",): st.integers(0),
-    ("sampler.s_mu",): _num(0, exclude_lo=True),
+    ("sampler.s_mu",): _num(0, 1, exclude_lo=True),
     ("sampler.stride",): st.integers(1),
     ("eval_fraction",): _num(0, 1, exclude_hi=True),
 }

@@ -87,6 +87,9 @@ def test_sampler_config_validation():
         SamplerConfig(bd_attempts=-1)
     with pytest.raises(ConfigError):
         SamplerConfig(s_mu=0.0)
+    with pytest.raises(ConfigError, match="s_mu"):
+        SamplerConfig(s_mu=1.0 + 1e-9)
+    SamplerConfig(s_mu=1.0)
     with pytest.raises(ConfigError):
         SamplerConfig(stride=0)
 
@@ -415,9 +418,9 @@ def test_repeat_runs_are_bit_identical():
 
 
 def test_caches_follow_the_state():
-    """Driven move by move, every cached excitation block and likelihood
-    column equals a fresh computation from its component's current w and mu,
-    bit for bit; copies carry no cache."""
+    """Driven move by move, every cached excitation block, likelihood column
+    and log-rate block equals a fresh computation from its component's
+    current w and mu, bit for bit; copies carry no cache."""
     ctx, init = helpers._tiny_fit_context(1)
     features = ctx.features
     state = _canonicalize(init.copy())
@@ -440,13 +443,17 @@ def test_caches_follow_the_state():
             for comp in state.allocated + state.non_allocated:
                 if comp.excitation is not None:
                     assert np.array_equal(comp.excitation, features.excitation(comp.w))
+                assert (comp.loglik_col is None) == (comp.log_rates is None)
                 if comp.loglik_col is not None:
+                    col, log_rates = features.loglik_all(comp.mu, comp.w, log_rates=True)
+                    assert np.array_equal(comp.loglik_col, col)
                     assert np.array_equal(comp.loglik_col, features.loglik_all(comp.mu, comp.w))
+                    assert np.array_equal(comp.log_rates, log_rates)
         # reallocation scored every component from its cache
         assert all(c.excitation is not None and c.loglik_col is not None
                    for c in state.allocated + state.non_allocated)
     assert refreshed
-    assert all(c.excitation is None and c.loglik_col is None
+    assert all(c.excitation is None and c.loglik_col is None and c.log_rates is None
                for c in state.copy().allocated + state.copy().non_allocated)
 
 
@@ -497,6 +504,91 @@ def test_fit_keeps_its_bytes(tmp_path, monkeypatch):
         "200a20a22894f7d75a13c21a1cc38c26e7fcc3117ed71e62548120fd07cc49e5",
         "c3c8fb06fac96a708ff3c1b011db174338b913ccb5ddc44ccc39c673b66431fd",
     )
+
+
+def test_a_walk_reads_its_current_rates_from_reallocation(tmp_path, monkeypatch):
+    """Along a small CLI fit, every in-box base-rate walk scores its current
+    rates from the log-rates its component's last reallocation cached: its
+    log ratio equals the one with both terms from ``event_term``, bit for
+    bit, over accepted and rejected walks and the first in-box walks of
+    components born as spares.  Only the first sweep's walks come before any
+    reallocation; every later in-box walk calls ``event_term`` once, for the
+    proposal."""
+    from tppcluster import sampler
+
+    walk, birth_death, ratio = (sampler.update_allocated_mu, sampler.birth_death_move,
+                                sampler.dpp_log_ratio)
+    event_term = FeatureSet.event_term
+    seen = {"accepted": 0, "rejected": 0, "born": 0, "uncached": 0, "calls": 0, "sweep": 0}
+    ratios, born = [], {}
+
+    def counted_event_term(self, *args):
+        seen["calls"] += 1
+        return event_term(self, *args)
+
+    def recorded_ratio(*args, **kwargs):
+        ratios.append(ratio(*args, **kwargs))
+        return ratios[-1]
+
+    def tracked_birth_death(state, ctx, rng):
+        info = birth_death(state, ctx, rng)
+        if info["kind"] == "birth" and info["accepted"]:
+            born[id(state.non_allocated[-1])] = state.non_allocated[-1]
+        return info
+
+    def checked_walk(state, ctx, rng):
+        seen["sweep"] += 1
+        before = [(comp, comp.mu, comp.log_rates is not None) for comp in state.allocated]
+        c, calls = state.c.copy(), seen["calls"]
+        ratios.clear()
+        infos = walk(state, ctx, rng)
+        calls = seen["calls"] - calls
+        feats = ctx.features
+        in_box = [info for info in infos if ctx.dpp_model.in_box(info["mu_prop"])]
+        assert len(ratios) == len(in_box)
+        for info, delta in zip(in_box, ratios):
+            comp, mu, cached = before[info["m"]]
+            assert cached or seen["sweep"] == 1
+            members = np.flatnonzero(c == info["m"])
+            x = feats.excitation(comp.w)[feats.rows(members)]
+            prop = info["mu_prop"]
+            want = delta + (event_term(feats, prop, x, members) - event_term(feats, mu, x, members)
+                            - (prop.sum() - mu.sum()) * float(feats.horizons[members].sum()))
+            assert info["log_acc"] == want, (seen["sweep"], info["m"])
+            seen["accepted" if info["accepted"] else "rejected"] += 1
+            seen["born"] += born.pop(id(comp), None) is comp
+            seen["uncached"] += not cached
+        assert calls == len(in_box) + sum(not before[info["m"]][2] for info in in_box)
+        return infos
+
+    monkeypatch.setattr(FeatureSet, "event_term", counted_event_term)
+    monkeypatch.setattr(sampler, "dpp_log_ratio", recorded_ratio)
+    monkeypatch.setattr(sampler, "birth_death_move", tracked_birth_death)
+    monkeypatch.setattr(sampler, "update_allocated_mu", checked_walk)
+    _small_cli_fit(tmp_path)
+    assert seen["accepted"] and seen["rejected"] and seen["born"], seen
+    assert 0 < seen["uncached"] <= 2, seen  # the first sweep's walks of the two initial clusters
+
+
+def test_the_sampler_builds_no_sub_store(tmp_path, monkeypatch):
+    """The sampler reads its minibatch and member rows in place: it never
+    calls ``FeatureSet.take``, which pretraining still uses."""
+    from tppcluster import cli
+
+    run, runs = cli.run_sampler, []
+
+    def no_take(self, idx):
+        raise AssertionError("the sampler built a sub-store")
+
+    def guarded(*args, **kwargs):
+        runs.append(1)
+        with monkeypatch.context() as mp:
+            mp.setattr(FeatureSet, "take", no_take)
+            return run(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_sampler", guarded)
+    _small_cli_fit(tmp_path)
+    assert runs == [1]
 
 
 def test_a_dpp_ratio_computes_fewer_than_two_densities(tmp_path, monkeypatch):
