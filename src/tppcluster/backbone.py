@@ -165,7 +165,9 @@ class FeatureSet:
     ``d`` within ``tau_max`` of event ``i`` of sequence ``s``, and
     ``comp[s, d, j]`` the bump mass of its type-``d`` events up to the
     horizon.  Both are built in one vectorised pass over every event of
-    every sequence, on the window rule of :func:`hawkes_intensity`.
+    every sequence, on the window rule of :func:`hawkes_intensity`; ``excite``
+    adds the pairs lag by lag, longest first, which sums each event's
+    sources in time order without sorting the pairs.
 
     All heavy sampler arithmetic — likelihood columns over every sequence,
     minibatch gradients, base-rate proposal deltas — runs on these arrays.
@@ -214,14 +216,11 @@ class FeatureSet:
             i = i[times[i] - times[i - lag] <= basis.tau_max]
             if not i.size:
                 break
-            by_lag.append(i)
-        dst = np.concatenate(by_lag + [np.zeros(0, np.int64)])
-        src = dst - np.repeat(np.arange(1, len(by_lag) + 1), [b.size for b in by_lag])
-        order = np.lexsort((src, dst))  # each event sums its sources in ascending order
-        dst, src = dst[order], src[order]
+            by_lag.append((i, i - lag))
         self.excite = np.zeros((n, imax, D, nb))
-        np.add.at(self.excite.reshape(-1, nb), slot[dst] * D + types[src],
-                  basis_values(basis, times[dst] - times[src]))
+        flat = self.excite.reshape(-1, nb)
+        for dst, src in reversed(by_lag):  # a lag gives an event one source: distinct rows
+            flat[slot[dst] * D + types[src]] += basis_values(basis, times[dst] - times[src])
         self.comp = np.zeros((n, D, nb))
         np.add.at(self.comp.reshape(-1, nb), seq * D + types,
                   basis_integrals(basis, self.horizons[seq] - times))

@@ -181,6 +181,11 @@ class BasisConfig:
             raise ConfigError(f"basis sigma must be positive and finite, got {self.sigma}")
         if not 0 < self.tau_max < math.inf:
             raise ConfigError(f"basis tau_max must be positive and finite, got {self.tau_max}")
+        # a bump squares (lag - center) / sigma, which reaches tau_max / sigma
+        if self.tau_max / self.sigma > math.sqrt(np.finfo(np.float64).max):
+            raise ConfigError(f"basis sigma {self.sigma:g} is too small for tau_max "
+                              f"{self.tau_max:g}: tau_max / sigma must not exceed 1.34e+154, "
+                              "the square root of the largest float")
         if self.centers.size == 0:
             raise ConfigError("basis needs at least one center")
         if not np.all((self.centers >= 0) & (self.centers <= self.tau_max)):

@@ -200,6 +200,11 @@ def model_for_data(data: Dataset, cfg: DppConfig, default_rho: float) -> DppSpec
         if len(cfg.box_lo) != q:
             raise ConfigError(f"config.prior.dpp.box_lo has {len(cfg.box_lo)} coordinates, "
                               f"the dataset has {q} event types")
+        # the likelihood subtracts each sequence's horizon times sum(mu)
+        if not math.isfinite(sum(cfg.box_hi) * data.total_time):
+            raise ConfigError(f"config.prior.dpp.box_hi sums to {sum(cfg.box_hi):g}; times the "
+                              f"dataset's total observation time {data.total_time:g} it "
+                              "overflows a float")
         lo = np.asarray(cfg.box_lo, dtype=np.float64)
         hi = np.asarray(cfg.box_hi, dtype=np.float64)
     else:

@@ -20,10 +20,12 @@ Each component caches its per-event excitation under its coefficients, so
 the excitation GEMM runs once per value of w: reallocation computes it, and
 the next base-rate walk and Langevin step read their rows from it in place.
 Reallocation also caches the event log-rates its likelihood column sums,
-under the same (mu, w), and the next walk reads its current rates' term from
-them, so it scores only the proposal.  ``Component.move`` drops these caches
-when mu or w changes.  Every repulsive-prior density of a fit, in its ratios
-and stored samples alike, is passed the fit context's ``DppCache``.
+under the same (mu, w), and the walk reads its current rates' term from
+them (in the first sweep, after scoring as reallocation does), so it scores
+only the proposal.  ``Component.move`` drops these caches when mu or w
+changes.  Every repulsive-prior density of a fit, in its ratios and stored
+samples alike, is passed the fit context's ``DppCache``.  A Langevin
+gradient or a stored log joint that is not finite raises ``NumericalError``.
 
 Every Metropolis move exposes its proposal and acceptance log-ratio through a
 small info record so tests can replay it against the full log joint.
@@ -45,6 +47,7 @@ from .core import (
     Dataset,
     DegenerateModelError,
     MixtureState,
+    NumericalError,
     PriorBundle,
 )
 from .dpp import DppCache, DppSpectralModel, dpp_log_density, dpp_log_ratio
@@ -213,13 +216,11 @@ def update_allocated_mu(state: MixtureState, ctx: FitContext, rng: np.random.Gen
         delta_dpp = dpp_log_ratio(model, state.all_mu(), add=prop, remove=comp.mu,
                                   cache=ctx.dpp_cache)
         x = _excitation(comp, ctx, members)
-        # the current rates' term, read from reallocation's log-rates when cached
-        current = (ctx.features.event_term(comp.mu, x, members) if comp.log_rates is None
-                   else float(comp.log_rates[ctx.features.rows(members)].sum()))
+        _score(comp, ctx)  # the current rates' log-rates, as reallocation caches them
         horizon_sum = float(ctx.features.horizons[members].sum())
         delta_lik = (
             ctx.features.event_term(prop, x, members)
-            - current
+            - float(comp.log_rates[ctx.features.rows(members)].sum())
             - (prop.sum() - comp.mu.sum()) * horizon_sum
         )
         log_acc = delta_dpp + delta_lik
@@ -240,17 +241,17 @@ def resample_allocated_r(state: MixtureState, rng: np.random.Generator) -> None:
 
 
 def sgld_update_w(state: MixtureState, ctx: FitContext, sweep: int,
-                  rng: np.random.Generator) -> dict:
+                  rng: np.random.Generator) -> None:
     """Stochastic-gradient Langevin step on every allocated coefficient tensor.
 
     Uses the schedule step eps_j, a minibatch of min(n_m, n_*) member
     sequences with the n_m / batch drift rescale, Gaussian noise of variance
-    eps_j, and reflection at zero to stay in the nonnegative orthant.
-    Components whose gradient is non-finite are skipped (counted).
+    eps_j, and reflection at zero to stay in the nonnegative orthant.  Rates
+    are at least the box's lower face, so a gradient that is not finite is
+    an overflow: it raises ``NumericalError`` naming component and sweep.
     """
     sched = ctx.prior.sgld
     eps = sched.step_size(sweep)
-    skipped = 0
     for m, comp in enumerate(state.allocated):
         members = np.flatnonzero(state.c == m)
         n_m = members.size
@@ -258,27 +259,27 @@ def sgld_update_w(state: MixtureState, ctx: FitContext, sweep: int,
         batch = rng.choice(members, size=b, replace=False) if b < n_m else members
         grad = ctx.features.grad_a(comp.mu, comp.w, batch, _excitation(comp, ctx, batch))
         if grad is None or not np.all(np.isfinite(grad)):
-            skipped += 1
-            continue
+            raise NumericalError(f"the Langevin gradient of allocated component {m} is not "
+                                 f"finite at sweep {sweep}")
         drift = -ctx.prior.beta_w + (n_m / b) * grad
         noise = rng.normal(0.0, math.sqrt(eps), size=comp.w.shape)
         comp.move(w=np.abs(comp.w + noise + 0.5 * eps * drift))
-    return {"eps": eps, "skipped": skipped}
+
+
+def _score(comp: Component, ctx: FitContext) -> np.ndarray:
+    """``comp``'s likelihood column, cached with its event log-rates when it has none."""
+    if comp.loglik_col is None:
+        comp.loglik_col, comp.log_rates = ctx.features.loglik_all(
+            comp.mu, comp.w, x=_excitation(comp, ctx), log_rates=True)
+    return comp.loglik_col
 
 
 def _component_columns(state: MixtureState, ctx: FitContext) -> np.ndarray:
-    comps = state.allocated + state.non_allocated
-    cols = np.empty((ctx.n, len(comps)))
-    for j, comp in enumerate(comps):
-        if comp.loglik_col is None:
-            comp.loglik_col, comp.log_rates = ctx.features.loglik_all(
-                comp.mu, comp.w, x=_excitation(comp, ctx), log_rates=True)
-        cols[:, j] = comp.loglik_col
-    return cols
+    return np.column_stack([_score(comp, ctx) for comp in state.allocated + state.non_allocated])
 
 
 def resample_allocations(state: MixtureState, ctx: FitContext,
-                         rng: np.random.Generator) -> dict:
+                         rng: np.random.Generator) -> None:
     """Draw every assignment from p(c_i = m) ∝ r_m L(s_i | theta_m) over all
     allocated and spare components, then repartition by occupancy.
 
@@ -307,7 +308,6 @@ def resample_allocations(state: MixtureState, ctx: FitContext,
     state.allocated = [comps[i] for i in alloc_idx]
     state.non_allocated = [comps[i] for i in spare_idx]
     state.c = remap[choice]
-    return {"k": state.k, "l": state.l}
 
 
 def resample_u(state: MixtureState, ctx: FitContext, rng: np.random.Generator) -> None:
@@ -345,7 +345,6 @@ class RunReport:
     k_hist: dict
     kl_mean: float
     acceptance: dict
-    sgld_skipped: int
     map_iteration: int
     map_log_joint: float
     map_state: MixtureState
@@ -361,7 +360,6 @@ class RunReport:
             "k_hist": k_hist_json(self.k_hist),
             "kl_mean": self.kl_mean,
             "acceptance": self.acceptance,
-            "sgld_skipped": self.sgld_skipped,
             "map": {"iteration": self.map_iteration, "log_joint": self.map_log_joint,
                     **self.map_state.to_dict()},
             "dpp": self.dpp_summary,
@@ -466,7 +464,6 @@ def run_sampler(data: Dataset, init: MixtureState, prior: PriorBundle,
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     trace = PosteriorTrace()
     accept = {"birth": [0, 0], "death": [0, 0], "mu_walk": [0, 0]}
-    sgld_skipped = 0
     map_iter = None
 
     for sweep in range(1, config.iterations + 1):
@@ -480,13 +477,16 @@ def run_sampler(data: Dataset, init: MixtureState, prior: PriorBundle,
             accept["mu_walk"][1] += 1
             accept["mu_walk"][0] += int(info["accepted"])
         resample_allocated_r(state, rng)
-        sgld_skipped += sgld_update_w(state, ctx, sweep, rng)["skipped"]
+        sgld_update_w(state, ctx, sweep, rng)
         resample_allocations(state, ctx, rng)
         resample_u(state, ctx, rng)
 
         if sweep > config.burn_in and (sweep - config.burn_in - 1) % config.stride == 0:
             lj = state_log_joint(state, data, prior, dpp_model, _component_columns(state, ctx),
                                  ctx.dpp_cache)
+            if not math.isfinite(lj):
+                raise NumericalError(f"the log joint of the sample stored at sweep {sweep} "
+                                     "is not finite")
             trace.iterations.append(sweep)
             trace.k.append(state.k)
             trace.l.append(state.l)
@@ -514,7 +514,6 @@ def run_sampler(data: Dataset, init: MixtureState, prior: PriorBundle,
         k_hist=k_hist,
         kl_mean=kl_mean,
         acceptance=rates,
-        sgld_skipped=sgld_skipped,
         map_iteration=map_iter,
         map_log_joint=map_log_joint,
         map_state=map_state,

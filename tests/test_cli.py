@@ -242,6 +242,11 @@ def test_fit_rejects_non_finite_times(tmp_path, capsys):
     ('{"basis": {"n_basis": 0}}', "config.basis"),
     ('{"basis": {"tau_max": -1.0}}', "config.basis"),
     ('{"basis": {"sigma": 0}}', "config.basis"),
+    # a bump squares (lag - center) / sigma, which reaches tau_max / sigma
+    ('{"basis": {"sigma": 1e-160}}', "basis sigma 1e-160 is too small for tau_max"),
+    # the likelihood subtracts each horizon times sum(mu), which box_hi bounds
+    ('{"prior": {"dpp": {"box_lo": [1, 1, 1], "box_hi": [1e308, 1e308, 1e308]}}}',
+     "config.prior.dpp.box_hi sums to inf; times the dataset's total observation time"),
     ('{"data": {"n_types": 0}}', "config.data: n_types must be >= 1, got"),
     ('{"data": {"n_types": 2}}', "{data}: s0: event type 3"),
     ('{"prior": {"dpp": {"alpha": 1e308}}}', "repulsive-prior spectral density overflows "
@@ -640,6 +645,23 @@ def test_numerical_failures_exit_code(tmp_path, monkeypatch):
     rc = main(["simulate", "--recipe", "hawkes-delta", "--k", "2", "--delta", "0.5",
                "--out", str(tmp_path / "boom")])
     assert rc == 2
+
+
+def test_fit_exits_2_on_a_stored_log_joint_that_is_not_finite(tmp_path, capsys):
+    """At beta_w 1e300 a Langevin step moves coefficients to about 2e292, where
+    the w prior overflows: the stored log joint is not finite, so fit exits 2
+    naming the sweep and writes nothing.  At 1e150 the same fit runs."""
+    sim = _simulate(tmp_path, delta=0.6, n=4, horizon=6.0, seed=3)
+    for beta_w, rc in (("1e300", 2), ("1e150", 0)):
+        cfg = tmp_path / f"cfg-{beta_w}.json"
+        cfg.write_text(f'{{"prior": {{"beta_w": {beta_w}}}}}')
+        out = tmp_path / f"fit-{beta_w}"
+        assert main(["fit", "--data", str(sim / "dataset.jsonl"), "--config", str(cfg),
+                     "--iterations", "4", "--burn-in", "1", "--m-init", "2",
+                     "--out", str(out)]) == rc
+        assert out.exists() == (rc == 0)
+    err = capsys.readouterr().err
+    assert "numerical failure: the log joint of the sample stored at sweep 2 is not finite" in err
 
 
 def test_output_root_environment_variable(tmp_path, monkeypatch):

@@ -17,6 +17,7 @@ from tppcluster.core import (
     DegenerateModelError,
     EventSequence,
     MixtureState,
+    NumericalError,
     PriorBundle,
     SgldSchedule,
 )
@@ -277,9 +278,7 @@ def test_sgld_matches_manual_replication(minibatch):
         noise = rng_ref.normal(0.0, math.sqrt(eps), size=comp.w.shape)
         expected.append(np.abs(comp.w + noise + 0.5 * eps * drift))
 
-    out = sgld_update_w(state, ctx, sweep, rng_pkg)
-    assert out["eps"] == pytest.approx(eps)
-    assert out["skipped"] == 0
+    sgld_update_w(state, ctx, sweep, rng_pkg)
     for comp, want in zip(state.allocated, expected):
         assert np.array_equal(comp.w, want)
         assert comp.loglik_col is None
@@ -297,6 +296,16 @@ def test_sgld_drift_is_prior_rate_without_events():
     # empty sequences contribute no gradient, leaving only the prior drift
     want = np.abs(w0 + noise - 0.5 * eps * ctx.prior.beta_w)
     assert np.array_equal(state.allocated[0].w, want)
+
+
+def test_sgld_raises_on_a_gradient_that_is_not_finite():
+    """A Langevin step is taken or the fit fails: a NaN coefficient gives its
+    component a gradient that is not finite, which raises NumericalError
+    naming the component and the sweep rather than leaving w unmoved."""
+    ctx, state = _sgld_setup(64)
+    state.allocated[1].w[0, 0, 0] = np.nan
+    with pytest.raises(NumericalError, match="component 1 is not finite at sweep 7"):
+        sgld_update_w(state, ctx, 7, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +511,7 @@ def test_fit_keeps_its_bytes(tmp_path, monkeypatch):
                hashlib.sha256(json.dumps(report).encode()).hexdigest())
     assert digests == (
         "200a20a22894f7d75a13c21a1cc38c26e7fcc3117ed71e62548120fd07cc49e5",
-        "c3c8fb06fac96a708ff3c1b011db174338b913ccb5ddc44ccc39c673b66431fd",
+        "5888a2e0bff19187a17e50ddb5a9edcb73d4bc741058a22c643f352359727301",
     )
 
 
@@ -512,8 +521,8 @@ def test_a_walk_reads_its_current_rates_from_reallocation(tmp_path, monkeypatch)
     log ratio equals the one with both terms from ``event_term``, bit for
     bit, over accepted and rejected walks and the first in-box walks of
     components born as spares.  Only the first sweep's walks come before any
-    reallocation; every later in-box walk calls ``event_term`` once, for the
-    proposal."""
+    reallocation, and they score their component as reallocation does; every
+    in-box walk calls ``event_term`` once, for the proposal."""
     from tppcluster import sampler
 
     walk, birth_death, ratio = (sampler.update_allocated_mu, sampler.birth_death_move,
@@ -558,7 +567,7 @@ def test_a_walk_reads_its_current_rates_from_reallocation(tmp_path, monkeypatch)
             seen["accepted" if info["accepted"] else "rejected"] += 1
             seen["born"] += born.pop(id(comp), None) is comp
             seen["uncached"] += not cached
-        assert calls == len(in_box) + sum(not before[info["m"]][2] for info in in_box)
+        assert calls == len(in_box), (seen["sweep"], calls)
         return infos
 
     monkeypatch.setattr(FeatureSet, "event_term", counted_event_term)
