@@ -74,7 +74,9 @@ def _window(tau_max: float, times: np.ndarray, types: np.ndarray, t: float):
     the lags fall along it: the window is one slice ``[lo, hi)``, and every
     lag in it lies in ``(0, tau_max]``.
     """
-    hi = times.searchsorted(t, side="left")  # times[:hi] is the strict past
+    hi = times.size  # times[:hi] is the strict past
+    if hi and not times[hi - 1] < t:  # a simulated candidate is usually past them all
+        hi = times.searchsorted(t, side="left")
     lo = times.searchsorted(t - tau_max, side="left")
     # t - x <= tau_max is monotone in x but may round differently from x >= t - tau_max
     while lo > 0 and t - times[lo - 1] <= tau_max:
@@ -352,9 +354,12 @@ class FeatureSet:
 # ---------------------------------------------------------------------------
 # simulation-only intensity models
 #
-# Each model exposes per-type rates (a float64 array), a dominating constant
-# valid on a lookahead window given the frozen history, and the window length
-# itself.
+# Each model exposes ``intensity(ts, times, types)``, the per-type rates of a
+# batch of B sequences as a (B, D) float64 array: row b at the candidate time
+# ``ts[b]`` given that sequence's own ascending history ``times[b]``,
+# ``types[b]``.  Row b depends on nothing else, so a sequence draws the same
+# events alone as in any batch.  Each model also exposes a dominating constant
+# valid on a lookahead window given one frozen history, and the window length.
 
 
 class HomogeneousPoisson:
@@ -366,8 +371,8 @@ class HomogeneousPoisson:
             raise NumericalError("Poisson rates must be nonnegative")
         self.n_types = self.rates.size
 
-    def evaluate(self, t, times, types) -> np.ndarray:
-        return self.rates
+    def intensity(self, ts, times, types) -> np.ndarray:
+        return self.rates.reshape(1, -1).repeat(len(ts), axis=0)
 
     def upper_bound(self, t, times, types, until) -> float:
         return float(self.rates.sum())
@@ -392,8 +397,9 @@ class SinusoidPoisson:
             raise NumericalError("sinusoid period must be positive")
         self.n_types = self.base.size
 
-    def evaluate(self, t, times, types) -> np.ndarray:
-        return self.base + self.amp * math.sin(2.0 * math.pi * t / self.period)
+    def intensity(self, ts, times, types) -> np.ndarray:
+        phase = np.array([[math.sin(2.0 * math.pi * t / self.period)] for t in ts])
+        return self.base + self.amp * phase
 
     def upper_bound(self, t, times, types, until) -> float:
         return float((self.base + self.amp).sum())
@@ -423,10 +429,11 @@ class SelfCorrecting:
     def _total(self, t, n_seen: int) -> float:
         return math.exp(self.eta * t - self.gamma * n_seen)
 
-    def evaluate(self, t, times, types) -> np.ndarray:
-        n_seen = int(np.searchsorted(np.asarray(times, dtype=np.float64), t, side="left"))
-        tot = self._total(t, n_seen)
-        return np.full(self.n_types, tot / self.n_types)
+    def intensity(self, ts, times, types) -> np.ndarray:
+        # N(t-) counts the strict past
+        each = [[self._total(t, int(x.searchsorted(t, side="left"))) / self.n_types]
+                for t, x in zip(ts, times)]
+        return np.repeat(np.array(each), self.n_types, axis=1)
 
     def upper_bound(self, t, times, types, until) -> float:
         # events only lower the rate, so the window end with the current count dominates
@@ -446,7 +453,18 @@ class SelfCorrecting:
 
 
 class HawkesModel:
-    """Adapter exposing :class:`HawkesParams` through the simulation interface."""
+    """Adapter exposing :class:`HawkesParams` through the simulation interface.
+
+    ``intensity`` scores a whole batch in one pass.  A batch of one reads its
+    window as :func:`hawkes_intensity` does.  A larger batch reads the newest
+    ``_tail`` events of every history, a count that doubles whenever some
+    window reaches past it, and :func:`basis_values` zeroes the lags outside
+    ``(0, tau_max]``.  One ``np.bincount`` then adds every event's terms
+    ``a[d, d_i, j] * g_j`` into its candidate's row in time order, starting
+    from zero; a zeroed term adds nothing, so a row's bits do not depend on
+    the batch.  For two or more types and one bump this is also the order
+    of :func:`hawkes_intensity`'s einsum, so the rates keep its bits.
+    """
 
     def __init__(self, params: HawkesParams):
         self.params = params
@@ -455,9 +473,56 @@ class HawkesModel:
         self._gmax = _INV_SQRT_2PI / params.basis.sigma
         self._colsum = params.a.sum(axis=(0, 2))  # (D,) total outgoing weight per source type
         self._mu_total = float(params.mu.sum())
+        # one event of type d_i adds a[:, d_i, :] to the rates: its terms,
+        # bump-major, and the target type each lands on
+        self._terms = np.ascontiguousarray(params.a.transpose(1, 2, 0))
+        self._target = np.tile(np.arange(self.n_types), params.basis.n_basis)
+        self._one_bins = self._target[:0]
+        self._tail = 16
 
-    def evaluate(self, t, times, types) -> np.ndarray:
-        return hawkes_intensity(self.params, times, types, t)
+    def _bins(self, n_events: int) -> np.ndarray:
+        """The bins of ``n_events`` events' terms in a batch of one, sliced
+        from a tiling kept for the longest window seen."""
+        if self._one_bins.size < n_events * self._target.size:
+            self._one_bins = np.tile(self._target, 2 * n_events)
+        return self._one_bins[: n_events * self._target.size]
+
+    def _tails(self, ts, times, types):
+        """Types, lags and row offsets of the newest ``_tail`` events of every
+        history, one block per candidate; ``_tail`` doubles until no
+        candidate's window reaches past its block."""
+        k = self._tail
+        while True:
+            tails = [x[-k:] for x in times]
+            counts = np.array([x.size for x in tails])
+            lag = np.asarray(ts).repeat(counts) - np.concatenate(tails)
+            full = np.flatnonzero(counts == k)
+            # a full block whose oldest event still excites may miss older ones
+            oldest = lag[(counts.cumsum() - k)[full]]
+            if not (oldest <= self.params.basis.tau_max).any():
+                break
+            k *= 2
+        self._tail = k
+        rows = np.repeat(np.arange(0, len(ts) * self.n_types, self.n_types), counts)
+        return np.concatenate([y[-k:] for y in types]), lag, rows
+
+    def intensity(self, ts, times, types) -> np.ndarray:
+        basis, n_types = self.params.basis, self.n_types
+        if len(ts) == 1:
+            # a batch of one reads exactly its window
+            src, lag = _window(basis.tau_max, times[0], types[0], ts[0])
+            g = _bumps(basis, lag[:, None])
+            bins = self._bins(src.size)
+        else:
+            src, lag, rows = self._tails(ts, times, types)
+            g = basis_values(basis, lag)  # zero outside the window
+            bins = (rows[:, None] + self._target).ravel()
+        terms = self._terms.take(src, axis=0).reshape(-1, n_types)
+        terms *= g.reshape(-1, 1)
+        lam = np.bincount(bins, weights=terms.ravel(), minlength=len(ts) * n_types)
+        if len(ts) == 1:
+            return (self.params.mu + lam)[None]  # a 1-D add costs less than a broadcast one
+        return self.params.mu + lam.reshape(-1, n_types)
 
     def upper_bound(self, t, times, types, until) -> float:
         lo = times.searchsorted(t - self.params.basis.tau_max, side="right")

@@ -320,6 +320,10 @@ class DppConfig:
                 raise ConfigError("dpp box must satisfy 0 < box_lo < box_hi per coordinate")
 
 
+# the largest prior term beta_w * w of one triggering coefficient: float max / 2^20
+_W_PRIOR_TERM_MAX = float(np.finfo(np.float64).max) / 2**20
+
+
 @dataclass(frozen=True)
 class PriorBundle:
     """All prior hyper-parameters shared across modules.
@@ -336,6 +340,17 @@ class PriorBundle:
     def __post_init__(self):
         if self.beta_w <= 0:
             raise ConfigError("beta_w must be positive")
+        # A Langevin step of size eps <= eps0 drifts every coefficient by
+        # -0.5 * eps * beta_w, and the reflection at zero turns one near zero
+        # into one near 0.5 * eps * beta_w.  Its prior term beta_w * w is then
+        # up to 0.5 * eps0 * beta_w^2; the bound leaves room for 2^20 of them.
+        w = 0.5 * self.sgld.eps0 * self.beta_w
+        if not self.beta_w * w <= _W_PRIOR_TERM_MAX:
+            raise ConfigError(
+                f"prior.beta_w {self.beta_w:g} with prior.sgld.eps0 {self.sgld.eps0:g} "
+                f"overflows the triggering-weight prior: a Langevin step moves a weight up "
+                f"to 0.5 * eps0 * beta_w = {w:.3g}, and beta_w times that must not exceed "
+                f"{_W_PRIOR_TERM_MAX:.3g}; lower prior.beta_w or prior.sgld.eps0")
 
     def w_log_prior(self, w: np.ndarray) -> float:
         """Log density of the iid Exp(beta_w) prior over one coefficient tensor."""

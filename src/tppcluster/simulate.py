@@ -7,6 +7,23 @@ proportionally to the per-type rates at the accepted time.  Models whose
 bound holds for the whole remaining horizon (Poisson, Hawkes with truncated
 kernels) use a single window per accepted event; the self-correcting model
 re-bounds on short windows because its rate drifts upward between events.
+
+The sequences of one mixture component are drawn together, up to
+``_BATCH`` at a time.  Each runs its own thinning loop (:func:`_thinning`,
+a generator) with its own random stream, history buffers and bounds, and
+draws gap, accept test and mark in the order a lone sequence does.  A step
+resumes every live loop up to its next candidate, scores all the
+candidates with one batched ``model.intensity`` call, and hands each loop
+its rates; a lone sequence (:func:`thinning_sample`) is a batch of one.
+
+Why the bytes hold.  A sequence's bound alone fixes the bits of each gap.
+The rates enter only the accept test ``u * bound <= total`` and the mark's
+search of their running sum, whose last entry is the total.  A row of
+``model.intensity`` depends on its own sequence only, with the same bits in
+any batch, so a sequence draws the same events alone as in a batch.  Rates
+that differ from another implementation's in their last bits would move an
+accepted time or mark only if a uniform draw landed within rounding of a
+boundary.
 """
 
 from __future__ import annotations
@@ -38,27 +55,36 @@ __all__ = [
 ]
 
 _MAX_EVENTS = 200_000
+# Sequences drawn together.  A step resumes every live loop in turn; past a
+# few hundred, their state falls out of cache and each step slows (the
+# 20,000-sequence README recipe drew in about 14 s in batches of 256, about
+# 20 s in batches of 5,000), and every buffer in the batch stays alive.
+_BATCH = 256
 
 
-def thinning_sample(model, horizon: float, rng: np.random.Generator,
-                    id: str = "", label: int | None = None) -> EventSequence:
-    """Draw one sequence from an intensity model on (0, horizon] by thinning.
+def _named(id: str, message: str) -> str:
+    return f"{id}: {message}" if id else message
 
-    The history lives in two buffers that double when full; the model sees
-    the accepted events as ascending ``[:n]`` views of them.
+
+def _thinning(model, horizon: float, rng: np.random.Generator, id: str, label: int | None):
+    """One sequence's thinning loop, suspended at each candidate.
+
+    Yields ``(t, times, types)``: the candidate time and the accepted events
+    as ascending ``[:n]`` views of two buffers that double when full.  Is
+    sent the candidate's per-type rates as a list.  Returns the finished
+    :class:`EventSequence`.  Its errors name the sequence ``id``.
     """
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise ConfigError(f"horizon must be a finite positive number, got {horizon}")
+    lookahead, n_types = model.lookahead(), model.n_types
     times = np.empty(64)
     types = np.empty(64, dtype=np.int64)
     n = 0
     t_arr, d_arr = times[:0], types[:0]
     t = 0.0
     while t < horizon:
-        until = min(t + model.lookahead(), horizon)
+        until = min(t + lookahead, horizon)
         bound = model.upper_bound(t, t_arr, d_arr, until)
         if not math.isfinite(bound) or bound < 0:
-            raise NumericalError(f"dominating rate {bound} is not usable at t={t}")
+            raise NumericalError(_named(id, f"dominating rate {bound} is not usable at t={t}"))
         if bound == 0.0:
             if until >= horizon:
                 break
@@ -69,16 +95,15 @@ def thinning_sample(model, horizon: float, rng: np.random.Generator,
             t = until
             continue
         t = t + gap
-        lam = model.evaluate(t, t_arr, d_arr)
-        total = float(np.add.reduce(lam))  # lam.sum() without its Python wrapper
+        # the running sum of the rates, added in order as cumsum does so the
+        # mark keeps its bits; its last entry is the total
+        cum = list(itertools.accumulate((yield t, t_arr, d_arr)))
+        total = cum[-1]
         if total > bound * (1.0 + 1e-9):
             raise NumericalError(
-                f"intensity {total} exceeded its dominating rate {bound} at t={t}"
-            )
+                _named(id, f"intensity {total} exceeded its dominating rate {bound} at t={t}"))
         if rng.random() * bound <= total:
-            # accumulate adds in order as cumsum does, so the mark keeps its bits
-            cum = list(itertools.accumulate(lam.tolist()))
-            d = min(bisect.bisect_right(cum, rng.random() * total), model.n_types - 1)
+            d = min(bisect.bisect_right(cum, rng.random() * total), n_types - 1)
             if n == times.size:
                 times = np.concatenate([times, np.empty_like(times)])
                 types = np.concatenate([types, np.empty_like(types)])
@@ -86,9 +111,42 @@ def thinning_sample(model, horizon: float, rng: np.random.Generator,
             types[n] = d
             n += 1
             if n > _MAX_EVENTS:
-                raise NumericalError("runaway simulation: event cap exceeded")
+                raise NumericalError(_named(id, "runaway simulation: event cap exceeded"))
             t_arr, d_arr = times[:n], types[:n]
     return EventSequence(t_arr.copy(), d_arr.copy(), horizon, id=id, label=label)
+
+
+def _thin(model, horizon: float, rngs: list, ids: list, label: int | None) -> list:
+    """Draw one sequence per generator in ``rngs`` from ``model`` on (0, horizon],
+    stepping every live sequence's thinning loop in lockstep: each step sends
+    every loop the rates of its last candidate and scores all the next
+    candidates with one ``model.intensity`` call."""
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ConfigError(f"horizon must be a finite positive number, got {horizon}")
+    sequences = [None] * len(rngs)
+    walks = [(i, _thinning(model, horizon, rng, id, label))
+             for i, (rng, id) in enumerate(zip(rngs, ids))]
+    replies = [None] * len(walks)  # a loop starts on None
+    while walks:
+        live, candidates = [], []
+        for (i, walk), reply in zip(walks, replies):
+            try:
+                candidates.append(walk.send(reply))
+            except StopIteration as done:
+                sequences[i] = done.value
+            else:
+                live.append((i, walk))
+        walks = live
+        if live:
+            replies = model.intensity(*zip(*candidates)).tolist()
+    return sequences
+
+
+def thinning_sample(model, horizon: float, rng: np.random.Generator,
+                    id: str = "", label: int | None = None) -> EventSequence:
+    """Draw one sequence from an intensity model on (0, horizon] by thinning,
+    as a batch of one."""
+    return _thin(model, horizon, [rng], [id], label)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +157,8 @@ def sample_mixture(components: list, horizon: float, n_per_component: int, seed:
                    metadata: dict | None = None) -> Dataset:
     """Generate a labelled dataset with ``n_per_component`` sequences on
     (0, ``horizon``] from each intensity model in ``components``; per-sequence
-    RNG substreams keep every sequence reproducible independently of the others."""
+    RNG substreams keep every sequence reproducible independently of the others,
+    and each component's sequences are drawn together in lockstep batches."""
     if not components:
         raise ConfigError("mixture needs at least one component")
     if n_per_component < 1:
@@ -107,16 +166,18 @@ def sample_mixture(components: list, horizon: float, n_per_component: int, seed:
     if len({m.n_types for m in components}) != 1:
         raise ConfigError("all mixture components must share one type alphabet")
     root = np.random.SeedSequence(seed)
-    labels = np.repeat(np.arange(len(components)), n_per_component)
+    n_seq = len(components) * n_per_component
     # sequence i draws from child i + 1: child 0 stays unused so that datasets
     # simulated by earlier versions, which spent it on labels, keep their bytes
-    streams = root.spawn(len(labels) + 1)[1:]
-    width = max(4, len(str(max(len(labels) - 1, 1))))
-    sequences = [
-        thinning_sample(components[int(lab)], horizon, np.random.default_rng(streams[i]),
-                        id=f"seq-{i:0{width}d}", label=int(lab))
-        for i, lab in enumerate(labels)
-    ]
+    streams = root.spawn(n_seq + 1)[1:]
+    width = max(4, len(str(max(n_seq - 1, 1))))
+    sequences = []
+    for lab, model in enumerate(components):
+        end = (lab + 1) * n_per_component
+        for lo in range(lab * n_per_component, end, _BATCH):
+            idx = range(lo, min(lo + _BATCH, end))
+            sequences += _thin(model, horizon, [np.random.default_rng(streams[i]) for i in idx],
+                               [f"seq-{i:0{width}d}" for i in idx], lab)
     meta = dict(metadata or {})
     meta.update(
         seed=seed,

@@ -461,8 +461,9 @@ class WholeHistoryHawkes:
         self._gmax = (1.0 / math.sqrt(2.0 * math.pi)) / params.basis.sigma
         self._colsum = params.a.sum(axis=(0, 2))
 
-    def evaluate(self, t, times, types):
-        return whole_history_intensity(self.params, times, types, t)
+    def intensity(self, ts, times, types):
+        return np.array([whole_history_intensity(self.params, x, y, t)
+                         for t, x, y in zip(ts, times, types)])
 
     def upper_bound(self, t, times, types, until):
         times = np.asarray(times, dtype=np.float64)
@@ -494,7 +495,7 @@ def list_thinning_sample(model, horizon, rng):
             t = until
             continue
         t = t + gap
-        lam = np.asarray(model.evaluate(t, t_arr, d_arr), dtype=np.float64)
+        lam = np.asarray(model.intensity([t], [t_arr], [d_arr])[0], dtype=np.float64)
         total = float(lam.sum())
         if rng.random() * bound <= total:
             cum = np.cumsum(lam)

@@ -410,8 +410,8 @@ def test_featureset_matches_whole_history_reference(data):
 
 
 def _total_rate(model, t, times=(), types=()) -> float:
-    return float(np.sum(model.evaluate(t, np.asarray(times, dtype=np.float64),
-                                       np.asarray(types, dtype=np.int64))))
+    return float(np.sum(model.intensity([t], [np.asarray(times, dtype=np.float64)],
+                                        [np.asarray(types, dtype=np.int64)])))
 
 
 def test_sim_intensity_examples():
@@ -454,8 +454,42 @@ def test_upper_bounds_dominate():
             until = min(t0 + model.lookahead(), horizon)
             bound = model.upper_bound(t0, times, types, until)
             for t in rng.uniform(t0, until, size=8):
-                total = float(np.sum(model.evaluate(t, times, types)))
+                total = float(np.sum(model.intensity([t], [times], [types])))
                 assert total <= bound * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("n_types, centers", [
+    (1, [0.0]), (2, [0.0]), (3, [0.0]), (6, [0.0]), (3, [0.2, 0.9, 1.7]),
+], ids=["d1", "d2", "d3", "d6", "d3-three-bumps"])
+def test_batched_hawkes_intensity_rows(n_types, centers):
+    """Every row of a batched intensity has the bits of the same candidate
+    scored alone, whatever the rest of the batch; with one bump and two or
+    more types both also have hawkes_intensity's bits.  The histories
+    include an empty one, a candidate at an event's time, and windows longer
+    than the first tail the batch reads."""
+    rng = np.random.default_rng(40 + n_types)
+    basis = BasisConfig(np.array(centers), sigma=0.6, tau_max=2.0)
+    params = HawkesParams(rng.uniform(0.2, 1.0, n_types),
+                          rng.uniform(0.0, 0.4, (n_types, n_types, basis.n_basis)), basis)
+    histories = [(np.array([]), np.array([], dtype=np.int64))]
+    for size in (1, 5, 30, 90, 400):
+        times = np.sort(rng.uniform(0.0, size / 20.0, size))
+        histories.append((times, rng.integers(0, n_types, size)))
+    ts = [0.5] + [float(x[-1] + rng.uniform(0.0, 0.5)) for x, _ in histories[1:]]
+    ts[3] = float(histories[3][0][-2])  # at an event's time: only the strict past excites
+    times, types = [x for x, _ in histories], [y for _, y in histories]
+    for order in (slice(None), slice(None, None, -1)):
+        model = HawkesModel(params)
+        batch = model.intensity(ts[order], times[order], types[order])
+        assert batch.shape == (len(ts), n_types)
+        for row, t, x, y in zip(batch, ts[order], times[order], types[order]):
+            alone = HawkesModel(params).intensity([t], [x], [y])[0]
+            assert row.tobytes() == alone.tobytes()
+            reference = hawkes_intensity(params, x, y, t)
+            if n_types > 1 and basis.n_basis == 1:
+                assert row.tobytes() == reference.tobytes()
+            else:
+                np.testing.assert_allclose(row, reference, rtol=1e-13)
 
 
 def test_self_correcting_history_dependence():

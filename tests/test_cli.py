@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import tppcluster.cli as cli
+import tppcluster.sampler as sampler
 from tppcluster.cli import FitConfig, _draw_m_init, _merge, _rle, main
 from tppcluster.core import ConfigError, Dataset, EventSequence, NumericalError, read_jsonl, write_jsonl
 
@@ -647,21 +648,42 @@ def test_numerical_failures_exit_code(tmp_path, monkeypatch):
     assert rc == 2
 
 
-def test_fit_exits_2_on_a_stored_log_joint_that_is_not_finite(tmp_path, capsys):
-    """At beta_w 1e300 a Langevin step moves coefficients to about 2e292, where
-    the w prior overflows: the stored log joint is not finite, so fit exits 2
-    naming the sweep and writes nothing.  At 1e150 the same fit runs."""
+def test_fit_exits_2_on_a_stored_log_joint_that_is_not_finite(tmp_path, capsys, monkeypatch):
+    """A stored log joint that is not finite ends the fit with exit 2 naming
+    the sweep, and nothing is written.  (A beta_w so large that the w prior
+    overflows, which once reached this check, is now refused as config.)"""
     sim = _simulate(tmp_path, delta=0.6, n=4, horizon=6.0, seed=3)
-    for beta_w, rc in (("1e300", 2), ("1e150", 0)):
+    monkeypatch.setattr(sampler, "state_log_joint", lambda *args, **kwargs: -math.inf)
+    out = tmp_path / "fit"
+    assert main(["fit", "--data", str(sim / "dataset.jsonl"), "--iterations", "4",
+                 "--burn-in", "1", "--m-init", "2", "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "numerical failure: the log joint of the sample stored at sweep 2 is not finite" in err
+
+
+def test_beta_w_that_overflows_the_w_prior_exits_1(tmp_path, capsys):
+    """A Langevin step moves a triggering weight up to 0.5 * eps0 * beta_w, so
+    beta_w * 0.5 * eps0 * beta_w may not exceed float max / 2^20: at the
+    default eps0, beta_w 1e160 exits 1 naming both keys before any output,
+    and 1.8e153, just inside the bound, fits with finite log joints."""
+    sim = _simulate(tmp_path, delta=0.6, n=4, horizon=6.0, seed=3)
+    for beta_w, rc in (("1e160", 1), ("1.8e153", 0)):
         cfg = tmp_path / f"cfg-{beta_w}.json"
         cfg.write_text(f'{{"prior": {{"beta_w": {beta_w}}}}}')
         out = tmp_path / f"fit-{beta_w}"
         assert main(["fit", "--data", str(sim / "dataset.jsonl"), "--config", str(cfg),
-                     "--iterations", "4", "--burn-in", "1", "--m-init", "2",
+                     "--iterations", "25", "--burn-in", "5", "--m-init", "2",
                      "--out", str(out)]) == rc
         assert out.exists() == (rc == 0)
     err = capsys.readouterr().err
-    assert "numerical failure: the log joint of the sample stored at sweep 2 is not finite" in err
+    assert "error: config.prior: prior.beta_w 1e+160 with prior.sgld.eps0 0.0001 overflows" in err
+    assert "lower prior.beta_w or prior.sgld.eps0" in err
+    log_joints = [json.loads(line)["log_joint"]
+                  for line in (tmp_path / "fit-1.8e153" / "trace.jsonl").read_text().splitlines()]
+    assert len(log_joints) == 20 and all(math.isfinite(x) for x in log_joints)
+    with pytest.raises(ConfigError, match="prior.beta_w 1 with prior.sgld.eps0 1e\\+305"):
+        FitConfig.resolve(None, {"prior": {"beta_w": 1.0, "sgld": {"eps0": 1e305}}})
 
 
 def test_output_root_environment_variable(tmp_path, monkeypatch):

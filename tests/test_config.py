@@ -27,6 +27,7 @@ def _num(lo=None, hi=None, exclude_lo=False, exclude_hi=False):
                        exclude_max=exclude_hi, allow_nan=False, allow_infinity=False)
     int_lo = -(2**53) if lo is None else math.floor(lo) + 1 if exclude_lo else math.ceil(lo)
     int_hi = 2**53 if hi is None else math.ceil(hi) - 1 if exclude_hi else math.floor(hi)
+    int_hi = min(int_hi, 2**53)
     if int_lo > int_hi:
         return floats
     return floats | st.integers(int_lo, int_hi)
@@ -43,6 +44,15 @@ def _box():
         lambda pairs: tuple(map(list, zip(*pairs))))
 
 
+def _w_prior():
+    # beta_w * 0.5 * eps0 * beta_w may not exceed float max / 2^20: draw eps0
+    # with a factor 2 to spare
+    limit = 1.7976931348623157e308 / 2**20
+    return _num(0, 1e300, exclude_lo=True).flatmap(
+        lambda beta_w: st.tuples(st.just(beta_w), _num(
+            0, min(limit / beta_w / beta_w, 1e300), exclude_lo=True)))
+
+
 def _lengths():
     return st.integers(0, 10**6).flatmap(
         lambda b: st.tuples(st.integers(b + 1, b + 10**6), st.just(b)))
@@ -57,14 +67,13 @@ VALID = {
     ("basis.n_basis",): st.integers(1),
     ("basis.tau_max",): _opt(_num(0, exclude_lo=True)),
     ("basis.sigma",): _opt(_num(0, exclude_lo=True)),
-    ("prior.beta_w",): _num(0, exclude_lo=True),
+    ("prior.beta_w", "prior.sgld.eps0"): _w_prior(),
     ("prior.dpp.rho",): _opt(_num(0, exclude_lo=True)),
     ("prior.dpp.alpha",): _num(0, exclude_lo=True),
     ("prior.dpp.lattice_radius",): st.integers(1, 10),
     ("prior.dpp.box_lo", "prior.dpp.box_hi"): _box(),
     ("prior.dpp.lo_factor",): _num(1, exclude_lo=True),
     ("prior.dpp.hi_factor",): _num(1),
-    ("prior.sgld.eps0",): _num(0, exclude_lo=True),
     ("prior.sgld.decay",): _num(0.5, 1.0, exclude_lo=True),
     ("prior.sgld.offset",): _num(0),
     ("prior.sgld.minibatch",): st.integers(1),

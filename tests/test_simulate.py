@@ -59,8 +59,8 @@ def test_negative_horizon_rejected():
 class _LyingBound:
     n_types = 1
 
-    def evaluate(self, t, times, types):
-        return np.array([5.0])
+    def intensity(self, ts, times, types):
+        return np.full((len(ts), 1), 5.0)
 
     def upper_bound(self, t, times, types, until):
         return 0.5
@@ -79,6 +79,11 @@ def test_violated_dominating_rate_raises():
         thinning_sample(_LyingBound(), 100.0, np.random.default_rng(1))
     with pytest.raises(NumericalError):
         thinning_sample(_NanBound(), 100.0, np.random.default_rng(1))
+    # in a batch, the error names the sequence that raised it
+    with pytest.raises(NumericalError, match="^seq-0000: intensity 5.0 exceeded"):
+        sample_mixture([_LyingBound()], 100.0, n_per_component=3)
+    with pytest.raises(NumericalError, match="^seq-0000: dominating rate nan is not usable"):
+        sample_mixture([_NanBound()], 100.0, n_per_component=3)
 
 
 def test_simulation_is_deterministic():
@@ -119,6 +124,41 @@ def test_buffered_thinning_matches_list_history(model):
     assert seq.types.tobytes() == types.tobytes()
 
 
+@pytest.mark.parametrize("recipe, some_empty", [
+    (lambda: build_hawkes_delta_dataset(3, 0.6, n_per_cluster=6, horizon=8.0, seed=5), False),
+    (lambda: build_hybrid_dataset(5, n_per_cluster=3, horizon=4.0), False),
+    (lambda: simulate.sample_mixture(
+        [HomogeneousPoisson(np.zeros(3)), HomogeneousPoisson([0.3, 0.0, 0.0])],
+        horizon=4.0, n_per_component=3, seed=2), True),
+], ids=["hawkes-delta", "hybrid", "zero-event"])
+def test_batched_sequences_match_lone_ones(monkeypatch, recipe, some_empty):
+    """A sequence drawn in its component's batch has the bytes of the same
+    stream drawn alone by thinning_sample and by the list-history oracle.
+    Batches of at most 4 split the larger components.  The hybrid mixture
+    includes the self-correcting component with its finite lookahead; the
+    last mixture has sequences with no event."""
+    monkeypatch.setattr(simulate, "_BATCH", 4)
+    calls = []
+
+    def spy(components, horizon, n_per_component, seed=0, metadata=None):
+        calls.append((components, horizon, n_per_component, seed))
+        return sample_mixture(components, horizon, n_per_component, seed, metadata)
+
+    monkeypatch.setattr(simulate, "sample_mixture", spy)
+    data = recipe()
+    (components, horizon, n_per, seed), = calls
+    streams = np.random.SeedSequence(seed).spawn(len(data.sequences) + 1)[1:]
+    for i, seq in enumerate(data.sequences):
+        model = components[i // n_per]
+        alone = thinning_sample(model, horizon, np.random.default_rng(streams[i]))
+        times, types = helpers.list_thinning_sample(model, horizon,
+                                                    np.random.default_rng(streams[i]))
+        assert seq.times.tobytes() == alone.times.tobytes() == times.tobytes()
+        assert seq.types.tobytes() == alone.types.tobytes() == types.tobytes()
+    counts = [s.n_events for s in data.sequences]
+    assert sum(counts) > 0 and (min(counts) == 0) == some_empty
+
+
 def test_event_cap_is_reached(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(simulate, "_MAX_EVENTS", 20_000)
     params = HawkesParams(np.array([1.0]), np.array([[[0.2]]]), SIM_BASIS)
@@ -127,7 +167,8 @@ def test_event_cap_is_reached(monkeypatch, tmp_path, capsys):
     rc = main(["simulate", "--recipe", "hybrid", "--k", "3", "--n-per-cluster", "2",
                "--horizon", "1e9", "--out", str(tmp_path / "runaway")])
     assert rc == 2
-    assert "runaway simulation" in capsys.readouterr().err
+    # the first component's sequences reach the cap together; the first one names itself
+    assert "seq-0000: runaway simulation: event cap exceeded" in capsys.readouterr().err
 
 
 def _sha256(sequences):
