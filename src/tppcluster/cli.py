@@ -96,11 +96,11 @@ def _merge(base: dict, override: dict, context="config") -> dict:
 @dataclass(frozen=True)
 class DataConfig:
     path: str | None = None
-    n_types: int | None = None     # None: sidecar metadata, else the largest mark
 
-    def __post_init__(self):
-        if self.n_types is not None and self.n_types < 1:
-            raise ConfigError(f"n_types must be >= 1, got {self.n_types}")
+
+# the most bumps a basis may have: the feature store holds D * n_basis
+# features per event
+MAX_N_BASIS = 100
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,8 @@ class BasisSpec:  # the arguments of BasisConfig.for_data
     sigma: float | None = None
 
     def __post_init__(self):
-        if self.n_basis < 1:
-            raise ConfigError(f"n_basis must be >= 1, got {self.n_basis}")
+        if not 1 <= self.n_basis <= MAX_N_BASIS:
+            raise ConfigError(f"n_basis must lie in [1, {MAX_N_BASIS}], got {self.n_basis}")
         for key in ("tau_max", "sigma"):
             val = getattr(self, key)
             if val is not None and val <= 0:
@@ -164,15 +164,10 @@ class FitConfig:
                             for f in fields(FitConfig)})
 
 
-# Fields of a section that run_fit sets itself (seeds derived from
-# config.seed); they are not config keys.
-_RUN_SET = ("seed",)
-
-
 def _to_json(val):
     if not is_dataclass(val):
         return list(val) if isinstance(val, tuple) else val
-    return {f.name: _to_json(getattr(val, f.name)) for f in fields(val) if f.name not in _RUN_SET}
+    return {f.name: _to_json(getattr(val, f.name)) for f in fields(val)}
 
 
 def _build(tp, val, key: str):
@@ -181,7 +176,7 @@ def _build(tp, val, key: str):
     if is_dataclass(tp):
         hints = typing.get_type_hints(tp)
         kwargs = {f.name: _build(hints[f.name], val[f.name], f"{key}.{f.name}")
-                  for f in fields(tp) if f.name not in _RUN_SET}
+                  for f in fields(tp)}
         try:
             return tp(**kwargs)
         except ConfigError as exc:
@@ -248,14 +243,19 @@ def run_fit(data: Dataset, cfg: FitConfig) -> FitResult:
     train = data.subset(train_idx)
 
     basis = BasisConfig.for_data(train, **asdict(cfg.basis))
-    m_init = _draw_m_init(cfg.pretrain.m_init, np.random.default_rng(int(seeds[1])))
+    spec = cfg.pretrain.m_init  # checked before anything is sized by it
+    if (spec[1] if isinstance(spec, tuple) else spec) > len(train):
+        raise ConfigError(f"config.pretrain.m_init {_to_json(spec)} exceeds the limit of "
+                          f"{len(train)}, the number of training sequences: each initial "
+                          "cluster needs one")
+    m_init = _draw_m_init(spec, np.random.default_rng(int(seeds[1])))
     # the prior refuses an alphabet too large for its lattice before the store is sized by it
     dpp_model = model_for_data(train, cfg.prior.dpp, default_rho=m_init)
     features = FeatureSet(train, basis)
-    init = pretrain_mixture(train, m_init, replace(cfg.pretrain, seed=int(seeds[2])), cfg.prior,
-                            basis, features=features, dpp_model=dpp_model)
-    trace, report = run_sampler(train, init, cfg.prior, replace(cfg.sampler, seed=int(seeds[3])),
-                                features=features, dpp_model=dpp_model)
+    init = pretrain_mixture(train, m_init, cfg.pretrain, cfg.prior, basis, features=features,
+                            dpp_model=dpp_model, rng=np.random.default_rng(int(seeds[2])))
+    trace, report = run_sampler(train, init, cfg.prior, cfg.sampler, features=features,
+                                dpp_model=dpp_model, rng=np.random.default_rng(int(seeds[3])))
     return FitResult(trace, report, train_idx, eval_idx, m_init)
 
 
@@ -343,7 +343,9 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _load_dataset(path: str, n_types=None) -> Dataset:
+def _load_dataset(path: str) -> Dataset:
+    """The dataset at ``path``.  Its alphabet is the one ``fit`` and ``eval``
+    both use: the sidecar's ``n_types`` when there is one, else the largest mark."""
     p = Path(path)
     sidecar = p.with_suffix(".meta.json")
     meta = _read_json(sidecar, "metadata") if sidecar.exists() else {}
@@ -354,7 +356,7 @@ def _load_dataset(path: str, n_types=None) -> Dataset:
         raise ConfigError(
             f"malformed metadata {sidecar}: n_types must be a positive integer, got {side_types!r}"
         )
-    data = read_jsonl(p, n_types=side_types if n_types is None else n_types)
+    data = read_jsonl(p, n_types=side_types)
     data.metadata.update(meta)
     return data
 
@@ -406,7 +408,7 @@ def cmd_fit(args) -> int:
     if cfg.data.path is None:
         raise ConfigError("no dataset given: pass --data or set data.path in the config")
 
-    data = _load_dataset(cfg.data.path, cfg.data.n_types)
+    data = _load_dataset(cfg.data.path)
     result = run_fit(data, cfg)
     out.mkdir(parents=True, exist_ok=True)  # a rejected fit writes nothing
     _write_json(cfg.raw, out / "resolved_config.json")
@@ -498,8 +500,10 @@ def cmd_sweep(args) -> int:
     if args.trials < 1:
         raise ConfigError("--trials must be >= 1")
     _check_sim_flags(args)
+    # every cell trains on all its k * n_per_cluster sequences, at most one cluster each
+    m_hi = min(args.k + 1, args.k * args.n_per_cluster)
     cfg = FitConfig.resolve(None, _given({
-        "eval_fraction": 0.0, "pretrain": {"m_init": [max(args.k - 1, 1), args.k + 1]},
+        "eval_fraction": 0.0, "pretrain": {"m_init": [max(args.k - 1, 1), m_hi]},
         "sampler": {"iterations": args.iterations, "burn_in": args.burn_in},
     }))
     out = _resolve_out(args.out)  # made by the first cell's run directory

@@ -210,6 +210,10 @@ class BasisConfig:
         else:
             centers = np.linspace(0.0, tau_max, n_basis)
             default_sigma = centers[1] - centers[0]
+        if sigma is None and not default_sigma > 0:  # the spacing underflowed
+            raise ConfigError(f"basis tau_max {tau_max:g} is too small for {n_basis} bumps: "
+                              f"their spacing, the default sigma, is {default_sigma:g}; "
+                              "raise tau_max or set sigma")
         return BasisConfig(centers, sigma if sigma is not None else default_sigma, tau_max)
 
     def to_dict(self) -> dict:
@@ -320,7 +324,8 @@ class DppConfig:
                 raise ConfigError("dpp box must satisfy 0 < box_lo < box_hi per coordinate")
 
 
-# the largest prior term beta_w * w of one triggering coefficient: float max / 2^20
+# the largest triggering coefficient, coefficient move per unit gradient, and
+# prior term beta_w * w of one coefficient that a fit may reach: float max / 2^20
 _W_PRIOR_TERM_MAX = float(np.finfo(np.float64).max) / 2**20
 
 
@@ -340,17 +345,25 @@ class PriorBundle:
     def __post_init__(self):
         if self.beta_w <= 0:
             raise ConfigError("beta_w must be positive")
-        # A Langevin step of size eps <= eps0 drifts every coefficient by
-        # -0.5 * eps * beta_w, and the reflection at zero turns one near zero
-        # into one near 0.5 * eps * beta_w.  Its prior term beta_w * w is then
-        # up to 0.5 * eps0 * beta_w^2; the bound leaves room for 2^20 of them.
+        # A spare component's coefficients are Exp(beta_w) draws of mean
+        # 1 / beta_w.  A Langevin step of size eps <= eps0 moves a coefficient
+        # by 0.5 * eps times its drift, the likelihood gradient minus beta_w;
+        # the reflection at zero turns one near zero into one near
+        # 0.5 * eps * beta_w, whose prior term beta_w * w is up to
+        # 0.5 * eps0 * beta_w^2.  Each of the three may not exceed
+        # _W_PRIOR_TERM_MAX, which leaves room for 2^20 of them.
         w = 0.5 * self.sgld.eps0 * self.beta_w
-        if not self.beta_w * w <= _W_PRIOR_TERM_MAX:
-            raise ConfigError(
-                f"prior.beta_w {self.beta_w:g} with prior.sgld.eps0 {self.sgld.eps0:g} "
-                f"overflows the triggering-weight prior: a Langevin step moves a weight up "
-                f"to 0.5 * eps0 * beta_w = {w:.3g}, and beta_w times that must not exceed "
-                f"{_W_PRIOR_TERM_MAX:.3g}; lower prior.beta_w or prior.sgld.eps0")
+        for what, val, fix in (
+                ("a spare weight's mean 1 / beta_w", 1.0 / self.beta_w, "raise prior.beta_w"),
+                ("a Langevin step's move per unit gradient 0.5 * eps0", 0.5 * self.sgld.eps0,
+                 "lower prior.sgld.eps0"),
+                ("the prior term beta_w * 0.5 * eps0 * beta_w of a Langevin step's weight",
+                 self.beta_w * w, "lower prior.beta_w or prior.sgld.eps0")):
+            if not val <= _W_PRIOR_TERM_MAX:
+                raise ConfigError(
+                    f"prior.beta_w {self.beta_w:g} with prior.sgld.eps0 {self.sgld.eps0:g} "
+                    f"overflows the triggering weights: {what} is {val:.3g}, above "
+                    f"{_W_PRIOR_TERM_MAX:.3g}; {fix}")
 
     def w_log_prior(self, w: np.ndarray) -> float:
         """Log density of the iid Exp(beta_w) prior over one coefficient tensor."""

@@ -200,17 +200,19 @@ def model_for_data(data: Dataset, cfg: DppConfig, default_rho: float) -> DppSpec
         if len(cfg.box_lo) != q:
             raise ConfigError(f"config.prior.dpp.box_lo has {len(cfg.box_lo)} coordinates, "
                               f"the dataset has {q} event types")
-        # the likelihood subtracts each sequence's horizon times sum(mu)
-        if not math.isfinite(sum(cfg.box_hi) * data.total_time):
-            raise ConfigError(f"config.prior.dpp.box_hi sums to {sum(cfg.box_hi):g}; times the "
-                              f"dataset's total observation time {data.total_time:g} it "
-                              "overflows a float")
         lo = np.asarray(cfg.box_lo, dtype=np.float64)
         hi = np.asarray(cfg.box_hi, dtype=np.float64)
+        source = "box_hi"
     else:
         lam = data.mean_rate_per_type()
         lo = np.full(q, lam / cfg.lo_factor)
         hi = np.full(q, lam * cfg.hi_factor)
+        source = f"hi_factor {cfg.hi_factor:g} gives a box_hi that"
+    # the likelihood subtracts each sequence's horizon times sum(mu)
+    hi_sum = sum(hi.tolist())
+    if not math.isfinite(hi_sum * data.total_time):
+        raise ConfigError(f"config.prior.dpp.{source} sums to {hi_sum:g}; times the dataset's "
+                          f"total observation time {data.total_time:g} it overflows a float")
     rho = cfg.rho if cfg.rho is not None else max(float(default_rho), 1.0)
     return build_spectral_model(q, cfg.lattice_radius, rho, cfg.alpha, lo, hi)
 

@@ -38,13 +38,12 @@ class PretrainConfig:
     rounds: int = 3
     gd_steps: int = 25
     learning_rate: float = 0.2
-    seed: int = 0
 
     def __post_init__(self):
         if self.rounds < 0 or self.gd_steps < 0:
             raise ConfigError("pretrain rounds/gd_steps must be nonnegative")
         if self.learning_rate <= 0:
-            raise ConfigError("pretrain learning rate must be positive")
+            raise ConfigError(f"pretrain learning_rate must be positive, got {self.learning_rate}")
 
 
 def _cluster_ascent(features: FeatureSet, idx: np.ndarray, mu: np.ndarray, a: np.ndarray,
@@ -53,6 +52,7 @@ def _cluster_ascent(features: FeatureSet, idx: np.ndarray, mu: np.ndarray, a: np
 
     Gradients are averaged per member so the step size is insensitive to the
     cluster size; backtracking halves the step until the objective improves.
+    A step that overflows fails as one that does not improve.
     The cluster's rows are gathered once, and the gradient at a point reuses
     the excitation its objective was scored from.
     """
@@ -65,10 +65,12 @@ def _cluster_ascent(features: FeatureSet, idx: np.ndarray, mu: np.ndarray, a: np
         gmu, ga = sub.loglik_grad(mu, a, x=x)
         step = cfg.learning_rate
         for _ in range(5):
-            mu_new = np.maximum(mu + step * gmu / scale, _MU_FLOOR)
-            a_new = np.maximum(a + step * ga / scale, 0.0)
-            x_new = sub.excitation(a_new)
-            cand = float(sub.loglik_all(mu_new, a_new, x=x_new).sum())
+            # a step that overflows scores NaN or -inf, and fails the test below
+            with np.errstate(over="ignore", invalid="ignore"):
+                mu_new = np.maximum(mu + step * gmu / scale, _MU_FLOOR)
+                a_new = np.maximum(a + step * ga / scale, 0.0)
+                x_new = sub.excitation(a_new)
+                cand = float(sub.loglik_all(mu_new, a_new, x=x_new).sum())
             if cand > best:
                 mu, a, x, best = mu_new, a_new, x_new, cand
                 break
@@ -80,21 +82,21 @@ def _cluster_ascent(features: FeatureSet, idx: np.ndarray, mu: np.ndarray, a: np
 
 def pretrain_mixture(data: Dataset, m_init: int, config: PretrainConfig,
                      prior: PriorBundle, basis: BasisConfig, *,
-                     features: FeatureSet, dpp_model: DppSpectralModel) -> MixtureState:
+                     features: FeatureSet, dpp_model: DppSpectralModel,
+                     rng: np.random.Generator) -> MixtureState:
     """Initialise a mixture state with ``m_init`` clusters refined by hard EM.
 
-    ``features`` is the store of ``data`` under ``basis``.  The fitted base
-    rates are clamped into ``dpp_model``'s box (slightly inside the faces), so
-    the returned state has positive prior density.  ``prior`` is not read; it
-    stays the fourth argument because ``bench/tracing.py`` unpacks the first
-    five.
+    ``features`` is the store of ``data`` under ``basis``, and every random
+    draw comes from ``rng``.  The fitted base rates are clamped into
+    ``dpp_model``'s box (slightly inside the faces), so the returned state
+    has positive prior density.  ``prior`` is not read; it stays the fourth
+    argument because ``bench/tracing.py`` unpacks the first five.
     """
     if m_init < 1:
         raise ConfigError("m_init must be >= 1")
     n = len(data.sequences)
     if n == 0:
         raise ConfigError("cannot pretrain on an empty dataset")
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     D, nb = data.n_types, basis.n_basis
 
     assign = rng.integers(0, m_init, size=n)

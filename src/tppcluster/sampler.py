@@ -87,7 +87,6 @@ class SamplerConfig:
     bd_attempts: int = 1          # birth/death proposals per sweep
     s_mu: float = 0.05            # base-rate random-walk scale, unit-cube units
     stride: int = 1               # store every stride-th post-burn-in sweep
-    seed: int = 0
 
     def __post_init__(self):
         # a fit reports the best stored sample, so it needs one
@@ -436,14 +435,15 @@ def state_log_joint(state: MixtureState, data: Dataset, prior: PriorBundle,
 
 
 def run_sampler(data: Dataset, init: MixtureState, prior: PriorBundle,
-                config: SamplerConfig, features: FeatureSet, dpp_model: DppSpectralModel):
+                config: SamplerConfig, features: FeatureSet, dpp_model: DppSpectralModel, *,
+                rng: np.random.Generator):
     """Run the full conditional sweep scheme; returns (trace, report).
 
     Iterations up to ``burn_in`` are discarded; afterwards every
     ``stride``-th sweep is stored, giving ceil((iterations - burn_in)/stride)
     samples, at least one.  The maximum-log-joint stored sample is kept as
-    the point estimate.  All randomness flows through one generator seeded
-    from ``config.seed``, so runs are bit-reproducible.
+    the point estimate.  All randomness flows through the one generator
+    ``rng``, so a run is fixed by the seed it was made from.
     """
     t0 = time.perf_counter()
     ctx = FitContext(data, features, prior, dpp_model, config)
@@ -461,7 +461,6 @@ def run_sampler(data: Dataset, init: MixtureState, prior: PriorBundle,
             f"prior.dpp.alpha={dpp_model.alpha:g}; lower alpha or rho, or start from fewer "
             f"components")
 
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     trace = PosteriorTrace()
     accept = {"birth": [0, 0], "death": [0, 0], "mu_walk": [0, 0]}
     map_iter = None

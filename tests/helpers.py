@@ -187,12 +187,12 @@ def _tiny_fit_context(seed=0):
     from tppcluster.dpp import model_for_data
 
     dpp_model = model_for_data(data, prior.dpp, default_rho=2)
-    config = SamplerConfig(iterations=1, burn_in=0, seed=seed)
+    config = SamplerConfig(iterations=1, burn_in=0)
     ctx = FitContext(data, features, prior, dpp_model, config)
     from tppcluster.pretrain import PretrainConfig, pretrain_mixture
 
-    state = pretrain_mixture(data, 2, PretrainConfig(seed=seed), prior, basis,
-                             features=features, dpp_model=dpp_model)
+    state = pretrain_mixture(data, 2, PretrainConfig(), prior, basis, features=features,
+                             dpp_model=dpp_model, rng=np.random.default_rng(seed))
     return ctx, state
 
 

@@ -248,8 +248,8 @@ def test_fit_rejects_non_finite_times(tmp_path, capsys):
     # the likelihood subtracts each horizon times sum(mu), which box_hi bounds
     ('{"prior": {"dpp": {"box_lo": [1, 1, 1], "box_hi": [1e308, 1e308, 1e308]}}}',
      "config.prior.dpp.box_hi sums to inf; times the dataset's total observation time"),
-    ('{"data": {"n_types": 0}}', "config.data: n_types must be >= 1, got"),
-    ('{"data": {"n_types": 2}}', "{data}: s0: event type 3"),
+    # the alphabet comes from the dataset alone (its sidecar, else its largest mark)
+    ('{"data": {"n_types": 0}}', "unknown config.data key:"),
     ('{"prior": {"dpp": {"alpha": 1e308}}}', "repulsive-prior spectral density overflows "
      "at prior.dpp.rho=4, prior.dpp.alpha=1e+308 for q=3"),
     ('{"prior": {"dpp": {"rho": 1e308, "alpha": 10}}}', "repulsive-prior spectral density "
@@ -259,6 +259,22 @@ def test_fit_rejects_non_finite_times(tmp_path, capsys):
     ('{"sampler": {"s_mu": 1e308}}', "config.sampler: proposal scale s_mu must lie in (0, 1] "
      "prior-box widths, got"),
     ('{"sampler": {"s_mu": 1.5}}', "config.sampler: proposal scale s_mu"),
+    # a Langevin step's gradient term and a spare's Exp(beta_w) weights overflow
+    ('{"prior": {"beta_w": 1e-20, "sgld": {"eps0": 1e307}}}', "config.prior: prior.beta_w "
+     "1e-20 with prior.sgld.eps0 1e+307 overflows the triggering weights: a Langevin step's "
+     "move per unit gradient 0.5 * eps0 is"),
+    ('{"prior": {"beta_w": 1e-308}}', "config.prior: prior.beta_w 1e-308 with prior.sgld.eps0 "
+     "0.0001 overflows the triggering weights: a spare weight's mean 1 / beta_w is"),
+    ('{"basis": {"n_basis": 3000000}}', "config.basis: n_basis must lie in [1, 100],"),
+    # eight sequences, six of them in the training split
+    ('{"pretrain": {"m_init": [2, 7]}}', "config.pretrain.m_init [2, 7] exceeds the limit of 6, "
+     "the number of training sequences"),
+    # the likelihood subtracts each horizon times sum(mu), which the factor box bounds too
+    ('{"prior": {"dpp": {"hi_factor": 1e308}}}', "config.prior.dpp.hi_factor 1e+308 gives a "
+     "box_hi that sums to 2e+307; times the dataset's total observation time"),
+    ('{"basis": {"tau_max": 5e-324}}', "basis tau_max 4.94066e-324 is too small for 3 bumps"),
+    ('{"pretrain": {"learning_rate": 0}}', "config.pretrain: pretrain learning_rate must be "
+     "positive,"),
 ])
 def test_fit_rejects_mistyped_config(tmp_path, capsys, text, key):
     cfg = tmp_path / "cfg.json"
@@ -314,7 +330,8 @@ def test_fit_refuses_a_large_alphabet_before_the_store(tmp_path, capsys, monkeyp
     monkeypatch.setattr(cli, "FeatureSet", store)
     path = tmp_path / "wide.jsonl"
     path.write_text('{"id":"a","T":5.0,"events":[{"t":0.5,"d":1},{"t":1.0,"d":10000}]}\n')
-    assert main(["fit", "--data", str(path), "--out", str(tmp_path / "f")]) == 1
+    # one sequence holds at most one initial cluster
+    assert main(["fit", "--data", str(path), "--m-init", "1", "--out", str(tmp_path / "f")]) == 1
     err = capsys.readouterr().err
     assert "(2L+1)^q = 5^10000 frequencies" in err and "prior.dpp.lattice_radius" in err
     assert not (tmp_path / "f").exists()
@@ -577,6 +594,41 @@ def test_eval_rejects_a_held_out_sequence_that_breaks_the_contract(tmp_path, cap
         assert not (out / "metrics.json").exists()
 
 
+def test_the_dataset_alone_declares_its_alphabet(tmp_path, capsys):
+    """A sidecar may declare more types than the marks use; fit and eval
+    then read the same alphabet, so eval scores the report fit wrote."""
+    sim = _simulate(tmp_path, delta=0.6, n=4, horizon=6.0, seed=3)
+    meta = json.loads((sim / "dataset.meta.json").read_text())
+    assert meta["n_types"] == 3
+    (sim / "dataset.meta.json").write_text(json.dumps({**meta, "n_types": 4}))
+    fit, ev = tmp_path / "fit", tmp_path / "eval"
+    assert main(["fit", "--data", str(sim / "dataset.jsonl"), "--iterations", "6",
+                 "--burn-in", "2", "--m-init", "2", "--out", str(fit)]) == 0
+    report = json.loads((fit / "report.json").read_text())
+    assert all(len(comp["mu"]) == 4 for comp in report["map"]["components"])
+    assert main(["eval", "--report", str(fit / "report.json"), "--data",
+                 str(sim / "dataset.jsonl"), "--out", str(ev)]) == 0
+    assert (ev / "metrics.json").exists()
+
+
+def test_inputs_at_the_new_limits_fit(tmp_path, capsys):
+    """beta_w 1e-300 (spare weights of mean 1e300) fits with finite log
+    joints and no RuntimeWarning, and m_init may reach the six training
+    sequences."""
+    sim = _simulate(tmp_path, delta=0.6, n=4, horizon=6.0, seed=3)
+    for name, text, m_init in (("beta_w", '{"prior": {"beta_w": 1e-300}}', "2"),
+                               ("m_init", "{}", "6")):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(text)
+        out = tmp_path / name
+        assert main(["fit", "--data", str(sim / "dataset.jsonl"), "--config", str(cfg),
+                     "--iterations", "6", "--burn-in", "2", "--m-init", m_init,
+                     "--out", str(out)]) == 0
+        log_joints = [json.loads(line)["log_joint"]
+                      for line in (out / "trace.jsonl").read_text().splitlines()]
+        assert len(log_joints) == 4 and all(math.isfinite(x) for x in log_joints)
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -602,6 +654,17 @@ def test_sweep_grid(tmp_path):
         assert math.isfinite(ell_val)
         assert k_mean == report["k_mean"]
         assert report["eval_ids"] == [] and len(report["train_ids"]) == 8
+
+
+def test_sweep_clips_its_m_init_range_to_the_sequences(tmp_path):
+    """A cell of k = 4 and one sequence per cluster trains on four
+    sequences, so its [k - 1, k + 1] start range is clipped to [3, 4]."""
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--deltas", "0.6", "--trials", "1", "--k", "4",
+                 "--n-per-cluster", "1", "--iterations", "4", "--burn-in", "1",
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "delta_0.6" / "trial_0" / "report.json").read_text())
+    assert len(report["train_ids"]) == 4 and report["m_init"] in (3, 4)
 
 
 def test_sweep_argument_validation(tmp_path, capsys):

@@ -45,12 +45,12 @@ def _box():
 
 
 def _w_prior():
-    # beta_w * 0.5 * eps0 * beta_w may not exceed float max / 2^20: draw eps0
-    # with a factor 2 to spare
+    # 1 / beta_w, 0.5 * eps0 and beta_w * 0.5 * eps0 * beta_w may not exceed
+    # float max / 2^20: draw beta_w and eps0 with a factor 2 to spare
     limit = 1.7976931348623157e308 / 2**20
-    return _num(0, 1e300, exclude_lo=True).flatmap(
+    return _num(2 / limit, 1e300).flatmap(
         lambda beta_w: st.tuples(st.just(beta_w), _num(
-            0, min(limit / beta_w / beta_w, 1e300), exclude_lo=True)))
+            0, min(limit / beta_w / beta_w, limit), exclude_lo=True)))
 
 
 def _lengths():
@@ -63,8 +63,7 @@ def _lengths():
 VALID = {
     ("seed",): st.integers(0, 2**64),
     ("data.path",): _opt(st.text(max_size=8)),
-    ("data.n_types",): _opt(st.integers(1)),
-    ("basis.n_basis",): st.integers(1),
+    ("basis.n_basis",): st.integers(1, 100),
     ("basis.tau_max",): _opt(_num(0, exclude_lo=True)),
     ("basis.sigma",): _opt(_num(0, exclude_lo=True)),
     ("prior.beta_w", "prior.sgld.eps0"): _w_prior(),

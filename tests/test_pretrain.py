@@ -27,7 +27,8 @@ def test_single_cluster_recovers_poisson_rates():
     rates = np.array([1.5, 0.7])
     data = _poisson_data(rates)
     basis = BasisConfig.for_data(data, n_basis=3)
-    state = pretrain_mixture(data, 1, PretrainConfig(seed=0), PRIOR, basis, **_inputs(data, basis))
+    state = pretrain_mixture(data, 1, PretrainConfig(), PRIOR, basis, **_inputs(data, basis),
+                             rng=np.random.default_rng(0))
     assert state.k == 1
     assert state.l == 0
     counts = np.zeros(2)
@@ -44,8 +45,8 @@ def test_single_cluster_recovers_poisson_rates():
 def test_separated_clusters_are_found(tiny2):
     labels = np.array([s.label for s in tiny2.sequences])
     basis = BasisConfig.for_data(tiny2, n_basis=3)
-    state = pretrain_mixture(tiny2, 2, PretrainConfig(seed=1), PRIOR, basis,
-                             **_inputs(tiny2, basis))
+    state = pretrain_mixture(tiny2, 2, PretrainConfig(), PRIOR, basis,
+                             **_inputs(tiny2, basis), rng=np.random.default_rng(1))
     assert state.k == 2
     assert purity(state.c, labels) >= 0.99
     assert state.violations() == []
@@ -69,8 +70,9 @@ def test_cluster_gradient_matches_per_sequence():
 def test_zero_rounds_is_raw_initialisation():
     data = _poisson_data([1.0], n=12)
     basis = BasisConfig.for_data(data, n_basis=3)
-    cfg = PretrainConfig(rounds=0, seed=5)
-    state = pretrain_mixture(data, 3, cfg, PRIOR, basis, **_inputs(data, basis))
+    cfg = PretrainConfig(rounds=0)
+    state = pretrain_mixture(data, 3, cfg, PRIOR, basis, **_inputs(data, basis),
+                             rng=np.random.default_rng(5))
     lam = data.mean_rate_per_type()
     for comp in state.allocated:
         assert np.all(comp.w == 0.01)              # untouched triggering seed
@@ -85,8 +87,8 @@ def test_zero_rounds_is_raw_initialisation():
 def test_same_seed_same_state():
     data = _poisson_data([0.8, 1.6], n=16)
     basis = BasisConfig.for_data(data, n_basis=3)
-    a = pretrain_mixture(data, 2, PretrainConfig(seed=7), PRIOR, basis, **_inputs(data, basis))
-    b = pretrain_mixture(data, 2, PretrainConfig(seed=7), PRIOR, basis, **_inputs(data, basis))
+    a, b = (pretrain_mixture(data, 2, PretrainConfig(), PRIOR, basis, **_inputs(data, basis),
+                             rng=np.random.default_rng(7)) for _ in range(2))
     assert np.array_equal(a.c, b.c)
     assert a.u == b.u
     for x, y in zip(a.allocated, b.allocated):
@@ -108,8 +110,8 @@ def test_more_rounds_never_hurt_the_fit():
         return float(cols.max(axis=1).sum())
 
     scores = [
-        objective(pretrain_mixture(data, 2, PretrainConfig(rounds=r, seed=2),
-                                   PRIOR, basis, **inputs))
+        objective(pretrain_mixture(data, 2, PretrainConfig(rounds=r), PRIOR, basis,
+                                   **inputs, rng=np.random.default_rng(2)))
         for r in range(4)
     ]
     for earlier, later in zip(scores, scores[1:]):
@@ -122,8 +124,9 @@ def test_box_clamp_keeps_rates_inside_and_distinct():
     # a deliberately narrow box far below the fitted rates forces clamping
     cfg = DppConfig(box_lo=(0.2,), box_hi=(0.4,))
     dpp_model = model_for_data(data, cfg, default_rho=2.0)
-    state = pretrain_mixture(data, 3, PretrainConfig(seed=6), PRIOR, basis,
-                             features=FeatureSet(data, basis), dpp_model=dpp_model)
+    state = pretrain_mixture(data, 3, PretrainConfig(), PRIOR, basis,
+                             features=FeatureSet(data, basis), dpp_model=dpp_model,
+                             rng=np.random.default_rng(6))
     mus = state.all_mu()
     assert np.all(mus >= 0.2) and np.all(mus <= 0.4)
     for i in range(len(mus)):
@@ -134,7 +137,8 @@ def test_box_clamp_keeps_rates_inside_and_distinct():
 def test_validation_errors():
     data = _poisson_data([1.0], n=4)
     basis = BasisConfig.for_data(data, n_basis=3)
-    inputs = _inputs(data, basis)  # both checks fire before the inputs are read
+    # both checks fire before the inputs are read
+    inputs = {**_inputs(data, basis), "rng": np.random.default_rng(0)}
     with pytest.raises(ConfigError):
         pretrain_mixture(data, 0, PretrainConfig(), PRIOR, basis, **inputs)
     with pytest.raises(ConfigError):
@@ -149,8 +153,9 @@ def test_validation_errors():
 def test_returned_state_is_sampler_ready(tiny2):
     basis = BasisConfig.for_data(tiny2, n_basis=3)
     dpp_model = model_for_data(tiny2, DppConfig(), default_rho=2.0)
-    state = pretrain_mixture(tiny2, 4, PretrainConfig(seed=9), PRIOR, basis,
-                             features=FeatureSet(tiny2, basis), dpp_model=dpp_model)
+    state = pretrain_mixture(tiny2, 4, PretrainConfig(), PRIOR, basis,
+                             features=FeatureSet(tiny2, basis), dpp_model=dpp_model,
+                             rng=np.random.default_rng(9))
     assert state.violations() == []
     assert state.c.shape == (len(tiny2.sequences),)
     assert state.c.max() < state.k

@@ -253,8 +253,8 @@ def _sgld_setup(minibatch):
     dpp_model = model_for_data(data, prior.dpp, default_rho=2)
     ctx = FitContext(data, features, prior, dpp_model,
                      SamplerConfig(iterations=1, burn_in=0))
-    state = pretrain_mixture(data, 2, PretrainConfig(seed=0), prior, basis,
-                             features=features, dpp_model=dpp_model)
+    state = pretrain_mixture(data, 2, PretrainConfig(), prior, basis, features=features,
+                             dpp_model=dpp_model, rng=np.random.default_rng(0))
     return ctx, state
 
 
@@ -379,8 +379,8 @@ def _driver_setup(seed=0, n_per_cluster=5, delta=0.9):
     prior = PriorBundle()
     features = FeatureSet(data, basis)
     dpp_model = model_for_data(data, prior.dpp, default_rho=2)
-    init = pretrain_mixture(data, 2, PretrainConfig(seed=seed), prior, basis,
-                            features=features, dpp_model=dpp_model)
+    init = pretrain_mixture(data, 2, PretrainConfig(), prior, basis, features=features,
+                            dpp_model=dpp_model, rng=np.random.default_rng(seed))
     return data, init, prior, features, dpp_model
 
 
@@ -390,17 +390,17 @@ def _driver_setup(seed=0, n_per_cluster=5, delta=0.9):
 ])
 def test_trace_storage_schedule(iterations, burn_in, stride, expect):
     data, init, prior, *fit = _driver_setup()
-    cfg = SamplerConfig(iterations=iterations, burn_in=burn_in, stride=stride, seed=2)
-    trace, _ = run_sampler(data, init, prior, cfg, *fit)
+    cfg = SamplerConfig(iterations=iterations, burn_in=burn_in, stride=stride)
+    trace, _ = run_sampler(data, init, prior, cfg, *fit, rng=np.random.default_rng(2))
     assert trace.iterations == expect
     assert len(trace) == math.ceil((iterations - burn_in) / stride)
 
 
 def test_repeat_runs_are_bit_identical():
     data, init, prior, features, dpp_model = _driver_setup()
-    cfg = SamplerConfig(iterations=30, burn_in=10, seed=4)
-    t1, r1 = run_sampler(data, init, prior, cfg, features, dpp_model)
-    t2, r2 = run_sampler(data, init, prior, cfg, features, dpp_model)
+    cfg = SamplerConfig(iterations=30, burn_in=10)
+    t1, r1 = run_sampler(data, init, prior, cfg, features, dpp_model, rng=np.random.default_rng(4))
+    t2, r2 = run_sampler(data, init, prior, cfg, features, dpp_model, rng=np.random.default_rng(4))
     assert t1.log_joint == t2.log_joint
     assert t1.k == t2.k and t1.l == t2.l
     assert all(np.array_equal(a, b) for a, b in zip(t1.labels, t2.labels))
@@ -410,7 +410,7 @@ def test_repeat_runs_are_bit_identical():
     # invariants hold after every sweep
     ctx = FitContext(data, features, prior, dpp_model, cfg)
     state = _canonicalize(init.copy())
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    rng = np.random.default_rng(4)
     for sweep in range(1, cfg.iterations + 1):
         for _ in range(cfg.bd_attempts):
             birth_death_move(state, ctx, rng)
@@ -713,9 +713,9 @@ def test_component_relabeling_does_not_change_the_chain():
         init.u,
         init.basis,
     )
-    cfg = SamplerConfig(iterations=25, burn_in=5, seed=5)
-    t1, _ = run_sampler(data, init, prior, cfg, *fit)
-    t2, _ = run_sampler(data, swapped, prior, cfg, *fit)
+    cfg = SamplerConfig(iterations=25, burn_in=5)
+    t1, _ = run_sampler(data, init, prior, cfg, *fit, rng=np.random.default_rng(5))
+    t2, _ = run_sampler(data, swapped, prior, cfg, *fit, rng=np.random.default_rng(5))
     assert t1.log_joint == t2.log_joint
     assert t1.k == t2.k
     assert all(np.array_equal(a, b) for a, b in zip(t1.labels, t2.labels))
@@ -723,8 +723,8 @@ def test_component_relabeling_does_not_change_the_chain():
 
 def test_map_is_the_best_stored_sample():
     data, init, prior, *fit = _driver_setup()
-    cfg = SamplerConfig(iterations=40, burn_in=10, seed=6)
-    trace, report = run_sampler(data, init, prior, cfg, *fit)
+    cfg = SamplerConfig(iterations=40, burn_in=10)
+    trace, report = run_sampler(data, init, prior, cfg, *fit, rng=np.random.default_rng(6))
     best = int(np.argmax(trace.log_joint))
     assert report.map_log_joint == trace.log_joint[best]
     assert report.map_iteration == trace.iterations[best]
@@ -739,8 +739,8 @@ def test_map_is_the_best_stored_sample():
 
 def test_stored_components_follow_the_state():
     data, init, prior, *fit = _driver_setup()
-    cfg = SamplerConfig(iterations=12, burn_in=2, seed=7)
-    trace, _ = run_sampler(data, init, prior, cfg, *fit)
+    cfg = SamplerConfig(iterations=12, burn_in=2)
+    trace, _ = run_sampler(data, init, prior, cfg, *fit, rng=np.random.default_rng(7))
     for k, comps in zip(trace.k, trace.components):
         assert len(comps) == k
         for c in comps:
@@ -752,12 +752,13 @@ def test_run_sampler_rejects_invalid_initial_states():
     data, init, prior, *fit = _driver_setup()
     bad = init.copy()
     bad.c[0] = 99  # label outside the component range
+    cfg, rng = SamplerConfig(iterations=2, burn_in=0), np.random.default_rng(0)
     with pytest.raises(ConfigError):
-        run_sampler(data, bad, prior, SamplerConfig(iterations=2, burn_in=0), *fit)
+        run_sampler(data, bad, prior, cfg, *fit, rng=rng)
     outside = init.copy()
     outside.allocated[0].mu = outside.allocated[0].mu + 1e6
     with pytest.raises(ConfigError):
-        run_sampler(data, outside, prior, SamplerConfig(iterations=2, burn_in=0), *fit)
+        run_sampler(data, outside, prior, cfg, *fit, rng=rng)
 
 
 def test_cached_column_log_joint_matches_oracle():
@@ -789,10 +790,11 @@ def test_two_well_separated_clusters_are_recovered(tiny2):
     prior = PriorBundle()
     features = FeatureSet(tiny2, basis)
     dpp_model = model_for_data(tiny2, prior.dpp, default_rho=2)
-    init = pretrain_mixture(tiny2, 2, PretrainConfig(seed=0), prior, basis,
-                            features=features, dpp_model=dpp_model)
-    cfg = SamplerConfig(iterations=150, burn_in=50, seed=11)
-    trace, report = run_sampler(tiny2, init, prior, cfg, features, dpp_model)
+    init = pretrain_mixture(tiny2, 2, PretrainConfig(), prior, basis, features=features,
+                            dpp_model=dpp_model, rng=np.random.default_rng(0))
+    cfg = SamplerConfig(iterations=150, burn_in=50)
+    trace, report = run_sampler(tiny2, init, prior, cfg, features, dpp_model,
+                                rng=np.random.default_rng(11))
     ks = np.asarray(trace.k)
     assert (ks == 2).mean() >= 0.9
     assert purity(report.map_state.c, labels) >= 0.9
