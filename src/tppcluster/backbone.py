@@ -66,13 +66,12 @@ def basis_integrals(basis: BasisConfig, s) -> np.ndarray:
     return hi - lo
 
 
-def _window(tau_max: float, times: np.ndarray, types: np.ndarray, t: float):
-    """Types and lags ``t - t_l`` of the events that excite ``t``: the strict
-    past with ``t - t_l <= tau_max``, in ascending time order.
+def _span(tau_max: float, times: np.ndarray, t: float) -> tuple[int, int]:
+    """The slice ``[lo, hi)`` of the events that excite ``t``: the strict past
+    with ``t - t_l <= tau_max``.
 
     ``times`` is sorted ascending, so only ``[t - tau_max, t)`` is read, and
-    the lags fall along it: the window is one slice ``[lo, hi)``, and every
-    lag in it lies in ``(0, tau_max]``.
+    the lags fall along it: every lag in the slice lies in ``(0, tau_max]``.
     """
     hi = times.size  # times[:hi] is the strict past
     if hi and not times[hi - 1] < t:  # a simulated candidate is usually past them all
@@ -83,6 +82,13 @@ def _window(tau_max: float, times: np.ndarray, types: np.ndarray, t: float):
         lo -= 1
     while lo < hi and t - times[lo] > tau_max:
         lo += 1
+    return lo, hi
+
+
+def _window(tau_max: float, times: np.ndarray, types: np.ndarray, t: float):
+    """Types and lags ``t - t_l`` of the events that excite ``t``, in
+    ascending time order; see :func:`_span`."""
+    lo, hi = _span(tau_max, times, t)
     return types[lo:hi], t - times[lo:hi]
 
 
@@ -359,7 +365,12 @@ class FeatureSet:
 # ``ts[b]`` given that sequence's own ascending history ``times[b]``,
 # ``types[b]``.  Row b depends on nothing else, so a sequence draws the same
 # events alone as in any batch.  Each model also exposes a dominating constant
-# valid on a lookahead window given one frozen history, and the window length.
+# valid on a lookahead window given one frozen history, the window length,
+# and its memory: the longest lag at which a past event still moves the rates.
+# The thinning loop hands ``intensity`` only the strict past within the memory
+# (``t - x <= memory``) and ``upper_bound`` only the events with
+# ``x > t - memory``; the bound may read ``t`` only through those events, so
+# the loop reuses it while they and ``until`` stay the same.
 
 
 class HomogeneousPoisson:
@@ -379,6 +390,9 @@ class HomogeneousPoisson:
 
     def lookahead(self) -> float:
         return math.inf
+
+    def memory(self) -> float:
+        return 0.0
 
     def describe(self) -> dict:
         return {"model": "homogeneous_poisson", "rates": self.rates.tolist()}
@@ -406,6 +420,9 @@ class SinusoidPoisson:
 
     def lookahead(self) -> float:
         return math.inf
+
+    def memory(self) -> float:
+        return 0.0
 
     def describe(self) -> dict:
         return {
@@ -443,6 +460,9 @@ class SelfCorrecting:
     def lookahead(self) -> float:
         return 1.0 / self.eta
 
+    def memory(self) -> float:
+        return math.inf  # N(t-) counts every earlier event
+
     def describe(self) -> dict:
         return {
             "model": "self_correcting",
@@ -455,15 +475,15 @@ class SelfCorrecting:
 class HawkesModel:
     """Adapter exposing :class:`HawkesParams` through the simulation interface.
 
-    ``intensity`` scores a whole batch in one pass.  A batch of one reads its
-    window as :func:`hawkes_intensity` does.  A larger batch reads the newest
-    ``_tail`` events of every history, a count that doubles whenever some
-    window reaches past it, and :func:`basis_values` zeroes the lags outside
-    ``(0, tau_max]``.  One ``np.bincount`` then adds every event's terms
-    ``a[d, d_i, j] * g_j`` into its candidate's row in time order, starting
-    from zero; a zeroed term adds nothing, so a row's bits do not depend on
-    the batch.  For two or more types and one bump this is also the order
-    of :func:`hawkes_intensity`'s einsum, so the rates keep its bits.
+    ``intensity`` scores a whole batch in one pass over the events that
+    excite each candidate: the strict past with lags in ``(0, tau_max]``,
+    which :func:`_window` reads.  The thinning loop hands it exactly those
+    windows; a longer history is cut to them by its lags.  One
+    ``np.bincount`` then adds every event's terms ``a[d, d_i, j] * g_j`` into
+    its candidate's row in time order, starting from zero, so a row's bits
+    do not depend on the batch.  For two or more types and one bump this is
+    also the order of :func:`hawkes_intensity`'s einsum, so the rates keep
+    its bits.
     """
 
     def __init__(self, params: HawkesParams):
@@ -473,65 +493,51 @@ class HawkesModel:
         self._gmax = _INV_SQRT_2PI / params.basis.sigma
         self._colsum = params.a.sum(axis=(0, 2))  # (D,) total outgoing weight per source type
         self._mu_total = float(params.mu.sum())
+        self._tau_max = params.basis.tau_max
         # one event of type d_i adds a[:, d_i, :] to the rates: its terms,
         # bump-major, and the target type each lands on
         self._terms = np.ascontiguousarray(params.a.transpose(1, 2, 0))
         self._target = np.tile(np.arange(self.n_types), params.basis.n_basis)
-        self._one_bins = self._target[:0]
-        self._tail = 16
-
-    def _bins(self, n_events: int) -> np.ndarray:
-        """The bins of ``n_events`` events' terms in a batch of one, sliced
-        from a tiling kept for the longest window seen."""
-        if self._one_bins.size < n_events * self._target.size:
-            self._one_bins = np.tile(self._target, 2 * n_events)
-        return self._one_bins[: n_events * self._target.size]
-
-    def _tails(self, ts, times, types):
-        """Types, lags and row offsets of the newest ``_tail`` events of every
-        history, one block per candidate; ``_tail`` doubles until no
-        candidate's window reaches past its block."""
-        k = self._tail
-        while True:
-            tails = [x[-k:] for x in times]
-            counts = np.array([x.size for x in tails])
-            lag = np.asarray(ts).repeat(counts) - np.concatenate(tails)
-            full = np.flatnonzero(counts == k)
-            # a full block whose oldest event still excites may miss older ones
-            oldest = lag[(counts.cumsum() - k)[full]]
-            if not (oldest <= self.params.basis.tau_max).any():
-                break
-            k *= 2
-        self._tail = k
-        rows = np.repeat(np.arange(0, len(ts) * self.n_types, self.n_types), counts)
-        return np.concatenate([y[-k:] for y in types]), lag, rows
+        # the bins of every term of a batch's rows: row offset plus target type
+        self._row_bins = np.empty((0, self._target.size), dtype=np.int64)
 
     def intensity(self, ts, times, types) -> np.ndarray:
-        basis, n_types = self.params.basis, self.n_types
-        if len(ts) == 1:
-            # a batch of one reads exactly its window
-            src, lag = _window(basis.tau_max, times[0], types[0], ts[0])
-            g = _bumps(basis, lag[:, None])
-            bins = self._bins(src.size)
-        else:
-            src, lag, rows = self._tails(ts, times, types)
-            g = basis_values(basis, lag)  # zero outside the window
-            bins = (rows[:, None] + self._target).ravel()
-        terms = self._terms.take(src, axis=0).reshape(-1, n_types)
-        terms *= g.reshape(-1, 1)
-        lam = np.bincount(bins, weights=terms.ravel(), minlength=len(ts) * n_types)
-        if len(ts) == 1:
-            return (self.params.mu + lam)[None]  # a 1-D add costs less than a broadcast one
+        basis, n_types, tau_max = self.params.basis, self.n_types, self._tau_max
+        # cut each history to its window; the thinning loop hands over the
+        # windows themselves, so this reads only their ends
+        cut = [b for b, (t, x) in enumerate(zip(ts, times))
+               if x.size and not (x[-1] < t and t - x[0] <= tau_max)]
+        if cut:
+            times, types = list(times), list(types)
+            for b in cut:
+                lo, hi = _span(tau_max, times[b], ts[b])
+                times[b], types[b] = times[b][lo:hi], types[b][lo:hi]
+        counts = np.fromiter(map(len, times), np.intp, len(times))
+        lag = np.array(ts).repeat(counts)
+        lag -= np.concatenate(times)
+        terms = self._terms.take(np.concatenate(types), axis=0).reshape(-1, n_types)
+        terms *= _bumps(basis, lag[:, None]).reshape(-1, 1)
+        if len(ts) > len(self._row_bins):
+            self._row_bins = np.arange(0, 2 * len(ts) * n_types, n_types)[:, None] + self._target
+        # each term lands in its candidate's row at its target type
+        lam = np.bincount(self._row_bins[:len(ts)].repeat(counts, axis=0).ravel(), terms.ravel(),
+                          len(ts) * n_types)
         return self.params.mu + lam.reshape(-1, n_types)
 
     def upper_bound(self, t, times, types, until) -> float:
-        lo = times.searchsorted(t - self.params.basis.tau_max, side="right")
-        # mu_total + gmax * colsum[types[lo:]].sum() with the same bits, in Python
+        # the events with x > t - tau_max; the thinning loop hands over only these
+        edge = t - self._tau_max
+        if len(times) and times[0] <= edge:
+            types = types[times.searchsorted(edge, side="right"):]
+        # mu_total + gmax * colsum[types].sum() with the same bits, in Python
         # floats and without ndarray.sum's Python wrapper around np.add.reduce
-        return self._mu_total + self._gmax * float(np.add.reduce(self._colsum[types[lo:]]))
+        return self._mu_total + self._gmax * float(np.add.reduce(self._colsum[types]))
 
     def lookahead(self) -> float:
         return math.inf
+
+    def memory(self) -> float:
+        return float(self._tau_max)
 
     def describe(self) -> dict:
         return {"model": "hawkes", **self.params.to_dict()}

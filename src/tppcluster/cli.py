@@ -101,6 +101,10 @@ class DataConfig:
 # the most bumps a basis may have: the feature store holds D * n_basis
 # features per event
 MAX_N_BASIS = 100
+# the most sequences `simulate` and `sweep` draw (--k times --n-per-cluster):
+# five times the 20,000-sequence scale recipe; every sequence takes its own
+# random stream and buffers, so a far larger count runs out of memory
+MAX_SEQUENCES = 100_000
 
 
 @dataclass(frozen=True)
@@ -294,13 +298,17 @@ def _write_trace(trace, path: Path) -> None:
 
 def _check_sim_flags(args) -> None:
     """Reject the ``--k``, ``--horizon``, ``--n-per-cluster`` and ``--seed`` no
-    dataset can be drawn with, before any output is written."""
+    dataset can be drawn with, before any output is written: each at least 1
+    (``--seed`` 0), and at most ``MAX_SEQUENCES`` sequences in all."""
     if args.k < 1:
         raise ConfigError(f"--k must be >= 1, got {args.k}")
     if not (math.isfinite(args.horizon) and args.horizon > 0):
         raise ConfigError(f"--horizon must be a finite positive number, got {args.horizon}")
     if args.n_per_cluster < 1:
         raise ConfigError(f"--n-per-cluster must be >= 1, got {args.n_per_cluster}")
+    if args.k * args.n_per_cluster > MAX_SEQUENCES:
+        raise ConfigError(f"--k * --n-per-cluster must be at most {MAX_SEQUENCES}, "
+                          f"got {args.k} * {args.n_per_cluster}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
 

@@ -8,13 +8,23 @@ bound holds for the whole remaining horizon (Poisson, Hawkes with truncated
 kernels) use a single window per accepted event; the self-correcting model
 re-bounds on short windows because its rate drifts upward between events.
 
+Each sequence reads only its windows.  A model declares its memory, the
+longest lag at which an event still moves its rates (``tau_max`` for
+Hawkes, none for Poisson, the whole past for the self-correcting model).
+Time only moves forward, so each sequence keeps two window starts that only
+move forward too, each by its own rule: the intensity's window is the strict
+past with ``t - x <= memory``, the bound's the events with
+``x > t - memory``.  No search runs per candidate.  The bound is kept until
+its window, the event count or the lookahead's end changes.
+
 The sequences of one mixture component are drawn together, up to
 ``_BATCH`` at a time.  Each runs its own thinning loop (:func:`_thinning`,
-a generator) with its own random stream, history buffers and bounds, and
-draws gap, accept test and mark in the order a lone sequence does.  A step
-resumes every live loop up to its next candidate, scores all the
-candidates with one batched ``model.intensity`` call, and hands each loop
-its rates; a lone sequence (:func:`thinning_sample`) is a batch of one.
+a generator) with its own random stream, history buffers, window starts and
+bound, and draws gap, accept test and mark in the order a lone sequence
+does.  A step resumes every live loop up to its next candidate, scores all
+the candidates' windows with one batched ``model.intensity`` call, and
+hands each loop its rates; a lone sequence (:func:`thinning_sample`) is a
+batch of one.
 
 Why the bytes hold.  A sequence's bound alone fixes the bits of each gap.
 The rates enter only the accept test ``u * bound <= total`` and the mark's
@@ -28,10 +38,10 @@ boundary.
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import json
 import math
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -69,51 +79,66 @@ def _named(id: str, message: str) -> str:
 def _thinning(model, horizon: float, rng: np.random.Generator, id: str, label: int | None):
     """One sequence's thinning loop, suspended at each candidate.
 
-    Yields ``(t, times, types)``: the candidate time and the accepted events
-    as ascending ``[:n]`` views of two buffers that double when full.  Is
-    sent the candidate's per-type rates as a list.  Returns the finished
-    :class:`EventSequence`.  Its errors name the sequence ``id``.
+    Yields ``(t, times, types)``: the candidate time and the events that can
+    excite it, as an ascending ``[lo:hi]`` view of two buffers that double
+    when full.  Is sent the candidate's per-type rates as a list.  Returns
+    the finished :class:`EventSequence`.  Its errors name the sequence ``id``.
     """
-    lookahead, n_types = model.lookahead(), model.n_types
+    lookahead, memory, n_types = model.lookahead(), model.memory(), model.n_types
+    exponential, uniform = rng.exponential, rng.random
     times = np.empty(64)
     types = np.empty(64, dtype=np.int64)
+    past = []  # the accepted times as Python floats, for the window starts
     n = 0
-    t_arr, d_arr = times[:0], types[:0]
+    # Window starts, each moved forward by its own rule as t grows: the
+    # intensity reads t - x <= memory, the bound x > t - memory (they may
+    # round apart).  The bound is kept while its window and ``until`` hold.
+    lo = lo_bound = 0
+    kept = None
     t = 0.0
     while t < horizon:
         until = min(t + lookahead, horizon)
-        bound = model.upper_bound(t, t_arr, d_arr, until)
-        if not math.isfinite(bound) or bound < 0:
-            raise NumericalError(_named(id, f"dominating rate {bound} is not usable at t={t}"))
+        edge = t - memory
+        while lo_bound < n and past[lo_bound] <= edge:
+            lo_bound += 1
+        if kept != (lo_bound, n, until):
+            kept = (lo_bound, n, until)
+            bound = model.upper_bound(t, times[lo_bound:n], types[lo_bound:n], until)
+            if not math.isfinite(bound) or bound < 0:
+                raise NumericalError(_named(id, f"dominating rate {bound} is not usable at t={t}"))
         if bound == 0.0:
             if until >= horizon:
                 break
             t = until
             continue
-        gap = rng.exponential(1.0 / bound)
+        gap = exponential(1.0 / bound)
         if t + gap > until:
             t = until
             continue
         t = t + gap
+        # the strict past: a candidate that rounds onto accepted times skips them
+        hi = n if not n or past[-1] < t else bisect_left(past, t)
+        while lo < hi and t - past[lo] > memory:
+            lo += 1
         # the running sum of the rates, added in order as cumsum does so the
         # mark keeps its bits; its last entry is the total
-        cum = list(itertools.accumulate((yield t, t_arr, d_arr)))
+        cum = list(accumulate((yield t, times[lo:hi], types[lo:hi])))
         total = cum[-1]
         if total > bound * (1.0 + 1e-9):
             raise NumericalError(
                 _named(id, f"intensity {total} exceeded its dominating rate {bound} at t={t}"))
-        if rng.random() * bound <= total:
-            d = min(bisect.bisect_right(cum, rng.random() * total), n_types - 1)
+        if uniform() * bound <= total:
+            d = min(bisect_right(cum, uniform() * total), n_types - 1)
             if n == times.size:
                 times = np.concatenate([times, np.empty_like(times)])
                 types = np.concatenate([types, np.empty_like(types)])
             times[n] = t
             types[n] = d
+            past.append(t)
             n += 1
             if n > _MAX_EVENTS:
                 raise NumericalError(_named(id, "runaway simulation: event cap exceeded"))
-            t_arr, d_arr = times[:n], types[:n]
-    return EventSequence(t_arr.copy(), d_arr.copy(), horizon, id=id, label=label)
+    return EventSequence(times[:n].copy(), types[:n].copy(), horizon, id=id, label=label)
 
 
 def _thin(model, horizon: float, rngs: list, ids: list, label: int | None) -> list:

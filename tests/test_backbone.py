@@ -465,8 +465,8 @@ def test_batched_hawkes_intensity_rows(n_types, centers):
     """Every row of a batched intensity has the bits of the same candidate
     scored alone, whatever the rest of the batch; with one bump and two or
     more types both also have hawkes_intensity's bits.  The histories
-    include an empty one, a candidate at an event's time, and windows longer
-    than the first tail the batch reads."""
+    include an empty one, a candidate at an event's time, and whole
+    histories that reach past their windows."""
     rng = np.random.default_rng(40 + n_types)
     basis = BasisConfig(np.array(centers), sigma=0.6, tau_max=2.0)
     params = HawkesParams(rng.uniform(0.2, 1.0, n_types),

@@ -111,6 +111,11 @@ def test_simulate_rejects_bad_horizon_and_cluster_size(tmp_path, capsys):
               for n in ("-3", "0")]
     cases += [(["--k", k], f"--k must be >= 1, got {k}") for k in ("0", "-2")]
     cases += [(["--seed", "-1"], "--seed must be >= 0, got -1")]
+    # a count no memory holds fails before SeedSequence.spawn or the component list
+    cases += [(["--n-per-cluster", "1000000000000"],
+               "--k * --n-per-cluster must be at most 100000, got 3 * 1000000000000"),
+              (["--k", "4611686018427387904", "--n-per-cluster", "1"],
+               "--k * --n-per-cluster must be at most 100000, got 4611686018427387904 * 1")]
     for recipe in (["hawkes-delta", "--delta", "0.5"], ["hybrid"]):
         for flags, message in cases:
             out = tmp_path / "x"
@@ -685,7 +690,8 @@ def test_sweep_argument_validation(tmp_path, capsys):
     assert not (tmp_path / "s4").exists()
     for flag, bad in (("--horizon", "nan"), ("--horizon", "inf"),
                       ("--n-per-cluster", "-3"), ("--n-per-cluster", "0"),
-                      ("--k", "0"), ("--k", "-2"), ("--seed", "-1")):
+                      ("--k", "0"), ("--k", "-2"), ("--seed", "-1"),
+                      ("--n-per-cluster", "1000000000000"), ("--k", "4611686018427387904")):
         out = tmp_path / "s5"
         assert main(["sweep", "--deltas", "0.5", flag, bad, "--out", str(out)]) == 1
         assert flag in capsys.readouterr().err

@@ -68,6 +68,9 @@ class _LyingBound:
     def lookahead(self):
         return math.inf
 
+    def memory(self):
+        return 0.0
+
 
 class _NanBound(_LyingBound):
     def upper_bound(self, t, times, types, until):
@@ -111,6 +114,63 @@ def test_windowed_hawkes_thinning_matches_whole_history(make_params, horizon, mi
     assert seq.types.tobytes() == types.tobytes()
 
 
+class _ZeroGapOnce:
+    """A generator stub over a real stream whose ``exponential`` returns 0.0
+    once, right after the ``after``-th accepted event (the one call that
+    follows two ``random`` calls: its accept test and its mark), so that a
+    candidate lands on that event's time.  The accept test of that candidate
+    draws ``u_zero`` instead of the stream."""
+
+    def __init__(self, seed, after, u_zero):
+        self._rng = np.random.default_rng(seed)
+        self._after, self._u_zero = after, u_zero
+        self._accepted = self._uniforms = 0
+        self._zero_pending = self.fired = False
+
+    def random(self):
+        self._uniforms += 1
+        if self._zero_pending:
+            self._zero_pending = False
+            return self._u_zero
+        return self._rng.random()
+
+    def exponential(self, scale):
+        gap = self._rng.exponential(scale)
+        if self._uniforms == 2:
+            self._accepted += 1
+            if self._accepted == self._after:
+                gap, self._zero_pending, self.fired = 0.0, True, True
+        self._uniforms = 0
+        return gap
+
+
+def test_candidate_on_the_last_accepted_time_reads_the_strict_past():
+    """A candidate that lands on the last accepted time does not read that
+    event.  Its accept test is set between the rates without and with that
+    event, so reading it would accept a second event at the same time."""
+    params = HawkesParams(np.array([0.9, 0.6]), np.full((2, 2, 1), 0.3), SIM_BASIS)
+    after, horizon = 3, 30.0
+    first = _ZeroGapOnce(4, after, u_zero=1.0 - 2.0 ** -53)  # rejects the candidate
+    times, types = helpers.list_thinning_sample(helpers.WholeHistoryHawkes(params), horizon,
+                                                first)
+    assert first.fired
+    past_t, past_d, t = times[:after], types[:after], times[after - 1]
+    bound = HawkesModel(params).upper_bound(t, past_t, past_d, horizon)
+    strict = helpers.whole_history_intensity(params, past_t, past_d, t).sum()
+    reading = helpers.whole_history_intensity(params, past_t, past_d, np.nextafter(t, np.inf)).sum()
+    u_zero = (strict + reading) / 2.0 / bound
+    assert strict < u_zero * bound < reading
+
+    stub, oracle = _ZeroGapOnce(4, after, u_zero), _ZeroGapOnce(4, after, u_zero)
+    seq = thinning_sample(HawkesModel(params), horizon, stub)
+    times, types = helpers.list_thinning_sample(helpers.WholeHistoryHawkes(params), horizon,
+                                                oracle)
+    assert stub.fired and oracle.fired
+    assert seq.n_events > 20
+    assert seq.times.tobytes() == times.tobytes()
+    assert seq.types.tobytes() == types.tobytes()
+
+
 @pytest.mark.parametrize("model", [
     HomogeneousPoisson([0.4, 1.1]),
     SinusoidPoisson([1.8, 1.0], [1.6, 0.5], period=7.0),
@@ -130,13 +190,20 @@ def test_buffered_thinning_matches_list_history(model):
     (lambda: simulate.sample_mixture(
         [HomogeneousPoisson(np.zeros(3)), HomogeneousPoisson([0.3, 0.0, 0.0])],
         horizon=4.0, n_per_component=3, seed=2), True),
-], ids=["hawkes-delta", "hybrid", "zero-event"])
+    (lambda: simulate.sample_mixture(
+        [HawkesModel(HawkesParams(np.full(3, 7.0), np.full((3, 3, 1), 0.1), SIM_BASIS)),
+         HawkesModel(HawkesParams(np.full(3, 0.4), np.full((3, 3, 1), 0.5),
+                                  BasisConfig(np.array([0.05]), sigma=0.1, tau_max=0.3)))],
+        horizon=5.0, n_per_component=5, seed=3), False),
+], ids=["hawkes-delta", "hybrid", "zero-event", "skewed-windows"])
 def test_batched_sequences_match_lone_ones(monkeypatch, recipe, some_empty):
     """A sequence drawn in its component's batch has the bytes of the same
     stream drawn alone by thinning_sample and by the list-history oracle.
     Batches of at most 4 split the larger components.  The hybrid mixture
     includes the self-correcting component with its finite lookahead; the
-    last mixture has sequences with no event."""
+    third mixture has sequences with no event.  In the last, the first
+    component's windows reach past 80 events, and the second's short memory
+    leaves some candidates of a batch with empty windows beside full ones."""
     monkeypatch.setattr(simulate, "_BATCH", 4)
     calls = []
 
