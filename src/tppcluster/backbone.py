@@ -212,8 +212,6 @@ class FeatureSet:
         self.types.reshape(-1)[slot] = types
         self.mask = np.zeros((n, imax), dtype=bool)
         self.mask.reshape(-1)[slot] = True
-        self.onehot = np.zeros((n, imax, D))
-        self.onehot.reshape(-1, D)[slot, types] = 1.0
 
         # pairs (i, l = i - lag) with t_i - t_l <= tau_max, grown lag by lag;
         # t_i - t_l never falls as the lag grows, so a dropped i has no longer pair
@@ -240,17 +238,23 @@ class FeatureSet:
         sub = FeatureSet.__new__(FeatureSet)
         sub.n_types = self.n_types
         sub.n_events, sub.horizons, sub.comp = self.n_events[idx], self.horizons[idx], self.comp[idx]
-        sub.types, sub.mask = self.types[rows], self.mask[rows]
-        sub.onehot, sub.excite = self.onehot[rows], self.excite[rows]
+        sub.types, sub.mask, sub.excite = self.types[rows], self.mask[rows], self.excite[rows]
         return sub
+
+    @cached_property
+    def onehot(self) -> np.ndarray:
+        """``(N, I_max, D)`` float one-hot of each event slot's type, zero at
+        padded slots; no score reads it, so it is built on its first read."""
+        return ((self.types[..., None] == np.arange(self.n_types)) & self.mask[..., None]) * 1.0
 
     # -- per-event rates ------------------------------------------------------
 
     def rows(self, idx):
         """Index of the event slots of sequences ``idx``, cut to the longest of
         them: it cuts a per-event block of this store, such as its excitation,
-        to the (B, width) block of ``take(idx)``."""
-        return np.s_[idx, : self.n_events[idx].max(initial=0)]
+        to the (B, width) block of ``take(idx)``; a call given that block ``x``
+        cuts the others with the same index, ``(idx, slice(x.shape[1]))``."""
+        return idx, slice(np.maximum.reduce(self.n_events[idx], initial=0))
 
     @cached_property
     def _real(self):
@@ -300,9 +304,9 @@ class FeatureSet:
         lam[~ok] = 1.0  # a zero log; the sequence is marked -inf below
         logs = np.zeros(self.mask.size)
         logs[slots] = np.log(lam, out=lam)
-        ev = logs.reshape(self.mask.shape).sum(axis=1)
-        col = a.sum(axis=0).ravel()  # (D·n_basis,): a source slot's weight on all targets
-        out = ev - self.horizons * mu.sum() - self.comp.reshape(-1, col.size) @ col
+        ev = np.add.reduce(logs.reshape(self.mask.shape), axis=1)
+        col = np.add.reduce(a).ravel()  # (D·n_basis,): a source slot's weight on all targets
+        out = ev - self.horizons * np.add.reduce(mu) - self.comp.reshape(-1, col.size) @ col
         out[slots[~ok] // self.mask.shape[1]] = logs[slots[~ok]] = -np.inf
         return (out, logs.reshape(self.mask.shape)) if log_rates else out
 
@@ -311,12 +315,12 @@ class FeatureSet:
     def event_term(self, mu: np.ndarray, x: np.ndarray, idx) -> float:
         """Sum over the sequences ``idx`` of event log-intensities for a given
         base-rate vector, reusing their excitation block ``x``."""
-        rows = self.rows(idx)
+        rows = idx, slice(x.shape[1])
         lam = mu[self.types[rows]] + x
         mask = self.mask[rows]
-        if np.any((lam <= 0) & mask):
+        if np.logical_or.reduce((lam <= 0) & mask, axis=None):
             return -math.inf
-        return float(np.log(lam, out=np.zeros_like(lam), where=mask).sum())
+        return float(np.add.reduce(np.log(lam, out=np.zeros(lam.shape), where=mask), axis=None))
 
     # -- gradients ----------------------------------------------------------
 
@@ -326,16 +330,16 @@ class FeatureSet:
         some event rate is nonpositive.  ``W`` has ``onehot / lambda``'s values
         (``1/lambda`` at each slot's own type), so the ``mu`` part is its
         column sums and the ``a`` part the GEMM ``Wᵀ @ excite``."""
-        rows, D = self.rows(idx), self.n_types
+        rows, D = (idx, slice(x.shape[1])), self.n_types
         types, mask = self.types[rows], self.mask[rows]
         lam = mu[types] + x
-        if np.any((lam <= 0) & mask):
+        if np.logical_or.reduce((lam <= 0) & mask, axis=None):
             return None
-        inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=mask)
+        inv = np.divide(1.0, lam, out=np.zeros(lam.shape), where=mask)
         W = np.zeros((inv.size, D))
         W.reshape(-1)[np.arange(0, W.size, D) + types.ravel()] = inv.ravel()
         ga = (W.T @ self.excite[rows].reshape(-1, a[0].size)).reshape(a.shape)
-        ga -= self.comp[idx].sum(axis=0)[None, :, :]
+        ga -= np.add.reduce(self.comp[idx])[None, :, :]
         return W, ga
 
     def loglik_grad(self, mu: np.ndarray, a: np.ndarray, x=None):

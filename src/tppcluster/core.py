@@ -367,9 +367,9 @@ class PriorBundle:
 
     def w_log_prior(self, w: np.ndarray) -> float:
         """Log density of the iid Exp(beta_w) prior over one coefficient tensor."""
-        if np.any(w < 0):
+        if np.logical_or.reduce(w < 0, axis=None):
             return -math.inf
-        return w.size * math.log(self.beta_w) - self.beta_w * float(w.sum())
+        return w.size * math.log(self.beta_w) - self.beta_w * float(np.add.reduce(w, axis=None))
 
     def w_sample(self, rng: np.random.Generator, shape) -> np.ndarray:
         return rng.exponential(1.0 / self.beta_w, size=shape)
@@ -448,17 +448,15 @@ class MixtureState:
         return np.bincount(self.c, minlength=self.k)
 
     def t_total(self) -> float:
-        return float(
-            sum(comp.r for comp in self.allocated)
-            + sum(comp.r for comp in self.non_allocated)
-        )
+        return float(sum([comp.r for comp in self.allocated])
+                     + sum([comp.r for comp in self.non_allocated]))
 
     def all_mu(self) -> np.ndarray:
         """Stack of every component's base-rate vector, allocated first; (M, D)."""
         comps = self.allocated + self.non_allocated
         if not comps:
             return np.zeros((0, 0))
-        return np.stack([comp.mu for comp in comps])
+        return np.array([comp.mu for comp in comps])
 
     def copy(self) -> "MixtureState":
         return MixtureState(
@@ -478,14 +476,14 @@ class MixtureState:
         if self.c.size and self.k and (self.c.min() < 0 or self.c.max() >= self.k):
             out.append("assignments reference missing components")
         cnt = self.counts()
-        if self.k and np.any(cnt == 0):
+        if self.k and (cnt == 0).any():
             out.append("allocated component without assigned sequences")
         for comp in self.allocated + self.non_allocated:
             if comp.r <= 0 or not np.isfinite(comp.r):
                 out.append("component weight seed r must be positive and finite")
-            if not np.all((comp.mu > 0) & (comp.mu < math.inf)):
+            if not ((comp.mu > 0) & (comp.mu < math.inf)).all():
                 out.append("component base rates must be positive and finite")
-            if not np.all((comp.w >= 0) & (comp.w < math.inf)):
+            if not ((comp.w >= 0) & (comp.w < math.inf)).all():
                 out.append("triggering coefficients must be nonnegative and finite")
         if not (self.u > 0 and np.isfinite(self.u)):
             out.append("auxiliary u must be positive and finite")

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
@@ -69,9 +69,13 @@ class DppSpectralModel:
     alpha: float
     clipped: bool          # True when the spectral density hit the stability cap
 
-    @property
+    @cached_property
     def q(self) -> int:
         return int(self.lattice.shape[1])
+
+    @cached_property
+    def _bounds(self) -> tuple[list[float], list[float]]:
+        return self.box_lo.tolist(), self.box_hi.tolist()
 
     def rescale(self, points: np.ndarray) -> np.ndarray:
         return (points - self.box_lo) / (self.box_hi - self.box_lo)
@@ -80,9 +84,8 @@ class DppSpectralModel:
         """Whether every coordinate lies in the box, faces included.  It
         compares Python floats, so a NaN lies outside; at small q numpy's
         per-call cost would exceed the comparisons."""
-        bounds = zip(np.asarray(point, dtype=np.float64).tolist(),
-                     self.box_lo.tolist(), self.box_hi.tolist())
-        return all(lo <= v <= hi for v, lo, hi in bounds)
+        v, (lo, hi) = np.asarray(point, dtype=np.float64).tolist(), self._bounds
+        return all(map(operator.le, lo, v)) and all(map(operator.le, v, hi))
 
     @cached_property
     def _lattice_t(self) -> np.ndarray:
@@ -159,8 +162,9 @@ def build_spectral_model(q: int, lattice_radius: int, rho: float, alpha: float,
         raise ConfigError("base-rate box must satisfy 0 < lo < hi per coordinate")
     if rho <= 0 or alpha <= 0:
         raise ConfigError("rho and alpha must be positive")
-    lattice = np.array(list(product(range(-lattice_radius, lattice_radius + 1), repeat=q)),
-                       dtype=np.int64)
+    # every z in {-L..L}^q in C order, the last coordinate varying fastest
+    grid = np.indices((2 * lattice_radius + 1,) * q, dtype=np.int64).reshape(q, -1)
+    lattice = np.ascontiguousarray(grid.T) - lattice_radius
     sq = (lattice ** 2).sum(axis=1)
     try:  # phi = c * exp(-s * |z|^2), with c and s in Python floats
         c = float(rho) * (math.sqrt(math.pi) * float(alpha)) ** q
@@ -257,12 +261,13 @@ class DppCache:
                 self.rows[key] = model.feature_rows(model.rescale(points[i:i + 1]))
         return np.concatenate([self.rows[key] for key in keys], axis=1)
 
-    def keep(self, *configs: np.ndarray) -> None:
-        """Drop all but the densities of ``configs`` and the rows of their points."""
-        self.densities = {key: self.densities[key] for key in (x.tobytes() for x in configs)
+    def keep(self, before: np.ndarray, after: np.ndarray, add: np.ndarray | None) -> None:
+        """Drop all but the densities of ``before`` and ``after`` and the rows of
+        their points: those of ``before`` and of ``add``, the one ``after`` may add."""
+        self.densities = {key: self.densities[key] for key in (before.tobytes(), after.tobytes())
                           if key in self.densities}
-        self.rows = {key: self.rows[key] for x in configs for key in _row_keys(x)
-                     if key in self.rows}
+        keys = _row_keys(before) + ([] if add is None else [add.tobytes()])
+        self.rows = {key: self.rows[key] for key in keys if key in self.rows}
 
 
 def _log_density(model: DppSpectralModel, gram: np.ndarray) -> float:
@@ -316,12 +321,14 @@ def dpp_log_ratio(model: DppSpectralModel, points: np.ndarray,
     points = np.asarray(points, dtype=np.float64).reshape(-1, model.q)
     parts = [points]
     if remove is not None:
-        match = (points == np.asarray(remove, dtype=np.float64)).all(axis=1).nonzero()[0]
+        same = points == np.asarray(remove, dtype=np.float64)
+        match = np.logical_and.reduce(same, axis=1).nonzero()[0]
         if match.size == 0:
             raise ConfigError("point to remove is not part of the configuration")
         parts = [points[:match[0]], points[match[0] + 1:]]
     if add is not None:
-        parts.insert(1, np.asarray(add, dtype=np.float64)[None, :])  # a swap keeps the slot
+        add = np.asarray(add, dtype=np.float64)
+        parts.insert(1, add[None, :])  # a swap keeps the slot
     after = np.concatenate(parts) if len(parts) > 1 else points
     log_after = dpp_log_density(model, after, cache)
     if log_after == -math.inf:
@@ -329,5 +336,5 @@ def dpp_log_ratio(model: DppSpectralModel, points: np.ndarray,
     else:
         ratio = log_after - dpp_log_density(model, points, cache)
     if cache is not None:
-        cache.keep(points, after)
+        cache.keep(points, after, add)
     return ratio

@@ -127,13 +127,13 @@ class FitContext:
 # individual moves
 
 
-def _excitation(comp: Component, ctx: FitContext, idx=None) -> np.ndarray:
-    """``comp``'s excitation block of the sequences ``idx`` (all when None),
-    cut with ``rows(idx)`` from the whole-store block it caches; computes the
-    block when it has none (a new or changed w, or a first sweep)."""
+def _excitation(comp: Component, ctx: FitContext) -> np.ndarray:
+    """``comp``'s cached whole-store excitation block, which a move cuts to
+    its sequences with ``rows``; computed when it has none (a new or changed
+    w, or a first sweep)."""
     if comp.excitation is None:
         comp.excitation = ctx.features.excitation(comp.w)
-    return comp.excitation if idx is None else comp.excitation[ctx.features.rows(idx)]
+    return comp.excitation
 
 
 def birth_death_move(state: MixtureState, ctx: FitContext, rng: np.random.Generator) -> dict:
@@ -211,16 +211,17 @@ def update_allocated_mu(state: MixtureState, ctx: FitContext, rng: np.random.Gen
             info.update(log_acc=-math.inf, accepted=False)
             infos.append(info)
             continue
-        members = np.flatnonzero(state.c == m)
+        members = (state.c == m).nonzero()[0]
+        rows = ctx.features.rows(members)
         delta_dpp = dpp_log_ratio(model, state.all_mu(), add=prop, remove=comp.mu,
                                   cache=ctx.dpp_cache)
-        x = _excitation(comp, ctx, members)
+        x = _excitation(comp, ctx)[rows]
         _score(comp, ctx)  # the current rates' log-rates, as reallocation caches them
-        horizon_sum = float(ctx.features.horizons[members].sum())
+        horizon_sum = float(np.add.reduce(ctx.features.horizons[members]))
         delta_lik = (
             ctx.features.event_term(prop, x, members)
-            - float(comp.log_rates[ctx.features.rows(members)].sum())
-            - (prop.sum() - comp.mu.sum()) * horizon_sum
+            - float(np.add.reduce(comp.log_rates[rows], axis=None))
+            - (np.add.reduce(prop) - np.add.reduce(comp.mu)) * horizon_sum
         )
         log_acc = delta_dpp + delta_lik
         accepted = math.log(rng.random()) < log_acc
@@ -252,12 +253,13 @@ def sgld_update_w(state: MixtureState, ctx: FitContext, sweep: int,
     sched = ctx.prior.sgld
     eps = sched.step_size(sweep)
     for m, comp in enumerate(state.allocated):
-        members = np.flatnonzero(state.c == m)
+        members = (state.c == m).nonzero()[0]
         n_m = members.size
         b = min(sched.minibatch, n_m)
         batch = rng.choice(members, size=b, replace=False) if b < n_m else members
-        grad = ctx.features.grad_a(comp.mu, comp.w, batch, _excitation(comp, ctx, batch))
-        if grad is None or not np.all(np.isfinite(grad)):
+        x = _excitation(comp, ctx)[ctx.features.rows(batch)]
+        grad = ctx.features.grad_a(comp.mu, comp.w, batch, x)
+        if grad is None or not np.logical_and.reduce(np.isfinite(grad), axis=None):
             raise NumericalError(f"the Langevin gradient of allocated component {m} is not "
                                  f"finite at sweep {sweep}")
         drift = -ctx.prior.beta_w + (n_m / b) * grad
@@ -274,7 +276,8 @@ def _score(comp: Component, ctx: FitContext) -> np.ndarray:
 
 
 def _component_columns(state: MixtureState, ctx: FitContext) -> np.ndarray:
-    return np.column_stack([_score(comp, ctx) for comp in state.allocated + state.non_allocated])
+    # (N, k + l), a transposed view: the columns' values, with none of column_stack's wrapping
+    return np.array([_score(comp, ctx) for comp in state.allocated + state.non_allocated]).T
 
 
 def resample_allocations(state: MixtureState, ctx: FitContext,
@@ -289,9 +292,9 @@ def resample_allocations(state: MixtureState, ctx: FitContext,
     cols = _component_columns(state, ctx)
     log_r = np.log(np.array([comp.r for comp in comps]))
     logits = cols + log_r[None, :]
-    finite_rows = np.isfinite(logits).any(axis=1)
-    if not np.all(finite_rows):
-        bad = int(np.flatnonzero(~finite_rows)[0])
+    finite_rows = np.logical_or.reduce(np.isfinite(logits), axis=1)
+    if not np.logical_and.reduce(finite_rows):
+        bad = int((~finite_rows).nonzero()[0][0])
         raise DegenerateModelError(
             f"sequence {ctx.data.sequences[bad].id!r} has zero likelihood "
             "under every component"
@@ -300,8 +303,8 @@ def resample_allocations(state: MixtureState, ctx: FitContext,
     choice = np.where(np.isfinite(logits), logits + gumbel, -np.inf).argmax(axis=1)
 
     counts = np.bincount(choice, minlength=len(comps))
-    alloc_idx = np.flatnonzero(counts > 0)
-    spare_idx = np.flatnonzero(counts == 0)
+    alloc_idx = (counts > 0).nonzero()[0]
+    spare_idx = (counts == 0).nonzero()[0]
     remap = np.empty(len(comps), dtype=np.int64)
     remap[alloc_idx] = np.arange(alloc_idx.size)
     state.allocated = [comps[i] for i in alloc_idx]
@@ -426,7 +429,7 @@ def state_log_joint(state: MixtureState, data: Dataset, prior: PriorBundle,
                            for m, seq in zip(state.c, data.sequences)])
     else:
         loglik = cols[np.arange(n), state.c]
-    total += float(loglik.sum())
+    total += float(np.add.reduce(loglik))
     for comp in state.non_allocated:
         total += prior.w_log_prior(comp.w) - comp.r
     t = state.t_total()
@@ -492,7 +495,8 @@ def run_sampler(data: Dataset, init: MixtureState, prior: PriorBundle,
             trace.log_joint.append(lj)
             trace.labels.append(state.c.copy())
             trace.components.append([
-                {"mu": c.mu.tolist(), "r": c.r, "w_mean": float(c.w.mean())}
+                {"mu": c.mu.tolist(), "r": c.r,
+                 "w_mean": float(np.add.reduce(c.w, axis=None)) / c.w.size}
                 for c in state.allocated
             ])
             if map_iter is None or lj > map_log_joint:

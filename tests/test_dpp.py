@@ -1,5 +1,6 @@
 """Spectral repulsive prior: densities, add/remove ratios, box resolution."""
 
+import itertools
 import logging
 import math
 
@@ -41,12 +42,16 @@ def test_normaliser_single_frequency():
 
 
 def test_lattice_enumeration():
-    m = build_spectral_model(q=3, lattice_radius=2, rho=1.0, alpha=0.05,
-                             box_lo=[1.0] * 3, box_hi=[2.0] * 3)
-    assert m.lattice.shape == (125, 3)
-    assert {tuple(z) for z in m.lattice} == {
-        (i, j, k) for i in range(-2, 3) for j in range(-2, 3) for k in range(-2, 3)
-    }
+    """The lattice is the int64 array of ``itertools.product``, byte for byte:
+    every frequency of {-L..L}^q, in its order, C-contiguous."""
+    for q, radius in [(1, 0), (1, 3), (2, 1), (3, 2), (6, 2)]:
+        m = build_spectral_model(q=q, lattice_radius=radius, rho=1.0, alpha=0.05,
+                                 box_lo=[1.0] * q, box_hi=[2.0] * q)
+        want = np.array(list(itertools.product(range(-radius, radius + 1), repeat=q)),
+                        dtype=np.int64)
+        assert m.lattice.shape == ((2 * radius + 1) ** q, q) == want.shape
+        assert m.lattice.dtype == want.dtype and m.lattice.flags.c_contiguous
+        assert m.lattice.tobytes() == want.tobytes(), (q, radius)
 
 
 def test_empty_configuration_density():

@@ -426,6 +426,26 @@ def test_repeat_runs_are_bit_identical():
             assert state.k == t1.k[stored] and np.array_equal(state.c, t1.labels[stored])
 
 
+def test_a_sweep_calls_none_of_numpys_python_wrappers(monkeypatch):
+    """``run_sampler`` calls none of numpy's Python-level wrappers below: at
+    README scale their fixed per-call cost was about half of a sweep, and
+    each has a direct ufunc or array method with the same bits."""
+    data, init, prior, features, dpp_model = _driver_setup(n_per_cluster=12)
+    calls = []
+    for name in ("flatnonzero", "stack", "column_stack", "zeros_like", "any", "all"):
+        def counted(*args, _wrapper=getattr(np, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _wrapper(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counted)
+    assert np.any(np.ones(1)) and calls == ["any"]  # the count sees a call
+    del calls[:]
+    cfg = SamplerConfig(iterations=30, burn_in=10)
+    trace, _ = run_sampler(data, init, prior, cfg, features, dpp_model,
+                           rng=np.random.default_rng(4))
+    assert len(trace) == 20 and calls == []
+
+
 def test_caches_follow_the_state():
     """Driven move by move, every cached excitation block, likelihood column
     and log-rate block equals a fresh computation from its component's
@@ -477,11 +497,9 @@ def _small_cli_fit(tmp_path):
                  "--out", str(tmp_path / "fit")]) == 0
 
 
-def test_fit_keeps_its_bytes(tmp_path, monkeypatch):
-    """A small CLI fit writes the same trace.jsonl and report.json (less its
-    clock and data path) as when these digests were first taken.  The fit
-    covers the branches a cache could get wrong: births, and base-rate
-    proposals that are accepted, rejected and outside the box."""
+def _counted_moves(monkeypatch) -> dict:
+    """Counts, along a fit, accepted births and base-rate proposals that are
+    accepted, rejected and outside the box."""
     from tppcluster import sampler
 
     seen = {"birth": 0, "accepted": 0, "rejected": 0, "outside": 0}
@@ -503,15 +521,58 @@ def test_fit_keeps_its_bytes(tmp_path, monkeypatch):
 
     monkeypatch.setattr(sampler, "update_allocated_mu", counted_walk)
     monkeypatch.setattr(sampler, "birth_death_move", counted_birth_death)
+    return seen
+
+
+def _fit_digests(fit_dir) -> tuple[str, str]:
+    """sha256 of a fit's trace.jsonl and of its report.json less clock and data path."""
+    report = json.loads((fit_dir / "report.json").read_text())
+    del report["wall_clock_sec"], report["data_path"]
+    return (hashlib.sha256((fit_dir / "trace.jsonl").read_bytes()).hexdigest(),
+            hashlib.sha256(json.dumps(report).encode()).hexdigest())
+
+
+def test_fit_keeps_its_bytes(tmp_path, monkeypatch):
+    """A small CLI fit writes the same trace.jsonl and report.json (less its
+    clock and data path) as when these digests were first taken.  The fit
+    covers the branches a cache could get wrong: births, and base-rate
+    proposals that are accepted, rejected and outside the box."""
+    seen = _counted_moves(monkeypatch)
     _small_cli_fit(tmp_path)
     assert all(seen.values()), seen
-    report = json.loads((tmp_path / "fit" / "report.json").read_text())
-    del report["wall_clock_sec"], report["data_path"]
-    digests = (hashlib.sha256((tmp_path / "fit" / "trace.jsonl").read_bytes()).hexdigest(),
-               hashlib.sha256(json.dumps(report).encode()).hexdigest())
-    assert digests == (
+    assert _fit_digests(tmp_path / "fit") == (
         "200a20a22894f7d75a13c21a1cc38c26e7fcc3117ed71e62548120fd07cc49e5",
         "5888a2e0bff19187a17e50ddb5a9edcb73d4bc741058a22c643f352359727301",
+    )
+
+
+def test_skewed_fit_keeps_its_bytes(tmp_path, monkeypatch):
+    """The pin of ``test_fit_keeps_its_bytes`` on a padding-heavy store: one
+    long sequence among short ones, so most of every padded row is padding.
+    Langevin minibatches are smaller than a component, and the fit covers
+    the same move branches."""
+    from tppcluster.backbone import HawkesModel
+    from tppcluster.cli import main
+    from tppcluster.core import HawkesParams, write_jsonl
+    from tppcluster.simulate import SIM_BASIS, thinning_sample
+
+    short = build_hawkes_delta_dataset(2, 1.0, n_per_cluster=10, horizon=5.0, seed=11)
+    model = HawkesModel(HawkesParams(np.full(3, 1.5), np.full((3, 3, 1), 0.1), SIM_BASIS))
+    long = thinning_sample(model, 150.0, np.random.default_rng(5), id="long", label=1)
+    data = Dataset(short.sequences + [long], 3)
+    n_events = [s.n_events for s in data.sequences]
+    assert len(n_events) * max(n_events) >= 8 * sum(n_events)  # the fit's store: no eval split
+    write_jsonl(data, tmp_path / "data.jsonl")
+    (tmp_path / "config.json").write_text(json.dumps({"prior": {"sgld": {"minibatch": 4}}}))
+    seen = _counted_moves(monkeypatch)
+    assert main(["fit", "--data", str(tmp_path / "data.jsonl"), "--config",
+                 str(tmp_path / "config.json"), "--iterations", "40", "--burn-in", "20",
+                 "--m-init", "2", "--seed", "2", "--eval-fraction", "0",
+                 "--out", str(tmp_path / "fit")]) == 0
+    assert all(seen.values()), seen
+    assert _fit_digests(tmp_path / "fit") == (
+        "f539858bc2f05344a7f548991bbb83fe16e78b9ee833d085da36542f7e2d087c",
+        "dbfe12cbb3fc9b03ea3f514fb6b9866c93cd50dc0808799c0a935d85511ea22c",
     )
 
 
