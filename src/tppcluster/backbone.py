@@ -31,6 +31,7 @@ __all__ = [
     "hawkes_loglik",
     "hawkes_loglik_grad",
     "FeatureSet",
+    "EventRows",
     "HomogeneousPoisson",
     "SinusoidPoisson",
     "SelfCorrecting",
@@ -191,7 +192,7 @@ class FeatureSet:
     cuts the sequences ``idx``'s slots from a per-event block: the minibatch
     gradient ``grad_a`` and ``event_term`` read their rows in place this way.
     The other calls score the store they are called on, and ``take(idx)`` is
-    the store of a subset.
+    the store of a subset, and ``EventRows(store, idx)`` its real rows alone.
     """
 
     def __init__(self, data: Dataset, basis: BasisConfig):
@@ -324,12 +325,14 @@ class FeatureSet:
 
     # -- gradients ----------------------------------------------------------
 
-    def _grad(self, mu: np.ndarray, a: np.ndarray, idx, x):
-        """``(W, a-gradient)`` over the sequences ``idx``, read in place from
-        their ``rows(idx)`` with their excitation block ``x``, or None when
-        some event rate is nonpositive.  ``W`` has ``onehot / lambda``'s values
-        (``1/lambda`` at each slot's own type), so the ``mu`` part is its
-        column sums and the ``a`` part the GEMM ``Wᵀ @ excite``."""
+    def grad_a(self, mu: np.ndarray, a: np.ndarray, idx, x=None) -> np.ndarray | None:
+        """Summed gradient of the log likelihood in ``a`` over sequences ``idx``,
+        read in place from their ``rows(idx)``; ``x`` is their excitation block
+        when the caller already has it, else that of ``take(idx)``.  Returns
+        None when some event rate is nonpositive (invalid point).  ``W`` has
+        ``onehot / lambda``'s values, so the gradient is the GEMM ``Wᵀ @ excite``.
+        """
+        x = self.take(idx).excitation(a) if x is None else x
         rows, D = (idx, slice(x.shape[1])), self.n_types
         types, mask = self.types[rows], self.mask[rows]
         lam = mu[types] + x
@@ -340,25 +343,58 @@ class FeatureSet:
         W.reshape(-1)[np.arange(0, W.size, D) + types.ravel()] = inv.ravel()
         ga = (W.T @ self.excite[rows].reshape(-1, a[0].size)).reshape(a.shape)
         ga -= np.add.reduce(self.comp[idx])[None, :, :]
-        return W, ga
+        return ga
 
-    def loglik_grad(self, mu: np.ndarray, a: np.ndarray, x=None):
-        """Summed gradient of the log likelihood over every sequence; shapes
-        (D,), (D, D, n_basis), or None when some event rate is nonpositive
-        (invalid point).  ``x`` is ``excitation(a)`` when the caller already
-        has it."""
-        grad = self._grad(mu, a, slice(None), self.excitation(a) if x is None else x)
-        return None if grad is None else (grad[0].sum(axis=0) - self.horizons.sum(), grad[1])
 
-    def grad_a(self, mu: np.ndarray, a: np.ndarray, idx, x=None) -> np.ndarray | None:
-        """Summed gradient of the log likelihood in ``a`` over sequences ``idx``,
-        read in place from their rows, with the bits of
-        ``take(idx).loglik_grad(mu, a, x)[1]``; ``x`` is their excitation block
-        when the caller already has it, else that of ``take(idx)``.  Returns
-        None when some event rate is nonpositive (invalid point).
-        """
-        grad = self._grad(mu, a, idx, self.take(idx).excitation(a) if x is None else x)
-        return None if grad is None else grad[1]
+class EventRows:
+    """A store's event-major view of the sequences ``idx``: their real event
+    rows alone, one sequence after another in ``idx`` order, as their
+    ``(E_idx, D·n_basis)`` features ``excite`` and ``types``, each row's
+    position in ``idx`` (``seg``), and the sequences' ``comp`` and
+    ``horizons``.  The excitation GEMM reads ``take(idx)``'s real rows in
+    order, with their bits; ``np.bincount`` sums each column's logs, so the
+    columns match ``loglik_all``'s padded row sums to rounding."""
+
+    def __init__(self, store: FeatureSet, idx):
+        _, excite, _, types = store._real
+        n = store.n_events[idx]
+        self.seg = np.arange(n.size).repeat(n)
+        # a row's place among the store's real rows: its sequence's first row plus its position
+        row = np.arange(n.sum()) + ((store.n_events.cumsum() - store.n_events)[idx]
+                                    - (n.cumsum() - n)).repeat(n)
+        self.excite, self.types = excite[row], types[row]
+        self.own = np.arange(row.size) * store.n_types + self.types
+        self.comp, self.horizons = store.comp[idx], store.horizons[idx]
+
+    def excitation(self, a: np.ndarray) -> np.ndarray:
+        """Each row's excitation toward its own type; shape (E_idx,)."""
+        toward = self.excite @ np.ascontiguousarray(a.reshape(a.shape[0], -1).T)
+        return toward.ravel().take(self.own)
+
+    def loglik(self, mu: np.ndarray, a: np.ndarray, x=None) -> np.ndarray:
+        """Per-sequence log likelihood, shape (len(idx),), -inf for a sequence
+        with a nonpositive rate; ``x`` is ``excitation(a)`` if the caller has it."""
+        lam = mu.take(self.types) + (self.excitation(a) if x is None else x)
+        ok = lam > 0
+        lam[~ok] = 1.0  # a zero log; the sequence is marked -inf below
+        ev = np.bincount(self.seg, np.log(lam, out=lam), minlength=self.horizons.size)
+        col = np.add.reduce(a).ravel()
+        out = ev - self.horizons * np.add.reduce(mu) - self.comp.reshape(-1, col.size) @ col
+        out[self.seg[~ok]] = -np.inf
+        return out
+
+    def grad(self, mu: np.ndarray, a: np.ndarray, x=None):
+        """Summed gradient in (mu, a), shapes (D,), (D, D, n_basis), or None when
+        some rate is nonpositive: ``W`` holds each row's ``1/lambda`` at its own
+        type, so the mu part is its column sums and the a part ``Wᵀ @ excite``."""
+        lam = mu.take(self.types) + (self.excitation(a) if x is None else x)
+        if np.logical_or.reduce(lam <= 0):
+            return None
+        W = np.zeros((lam.size, mu.size))
+        W.reshape(-1)[self.own] = 1.0 / lam
+        ga = (W.T @ self.excite).reshape(a.shape)
+        ga -= np.add.reduce(self.comp)[None, :, :]
+        return W.sum(axis=0) - self.horizons.sum(), ga
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +517,8 @@ class HawkesModel:
 
     ``intensity`` scores a whole batch in one pass over the events that
     excite each candidate: the strict past with lags in ``(0, tau_max]``,
-    which :func:`_window` reads.  The thinning loop hands it exactly those
-    windows; a longer history is cut to them by its lags.  One
+    which :func:`_window` reads, as the thinning loop hands over: the bumps
+    are not truncated, so an event outside it would add its terms.  One
     ``np.bincount`` then adds every event's terms ``a[d, d_i, j] * g_j`` into
     its candidate's row in time order, starting from zero, so a row's bits
     do not depend on the batch.  For two or more types and one bump this is
@@ -506,16 +542,7 @@ class HawkesModel:
         self._row_bins = np.empty((0, self._target.size), dtype=np.int64)
 
     def intensity(self, ts, times, types) -> np.ndarray:
-        basis, n_types, tau_max = self.params.basis, self.n_types, self._tau_max
-        # cut each history to its window; the thinning loop hands over the
-        # windows themselves, so this reads only their ends
-        cut = [b for b, (t, x) in enumerate(zip(ts, times))
-               if x.size and not (x[-1] < t and t - x[0] <= tau_max)]
-        if cut:
-            times, types = list(times), list(types)
-            for b in cut:
-                lo, hi = _span(tau_max, times[b], ts[b])
-                times[b], types[b] = times[b][lo:hi], types[b][lo:hi]
+        basis, n_types = self.params.basis, self.n_types
         counts = np.fromiter(map(len, times), np.intp, len(times))
         lag = np.array(ts).repeat(counts)
         lag -= np.concatenate(times)

@@ -268,14 +268,11 @@ def run_fit(data: Dataset, cfg: FitConfig) -> FitResult:
 
 
 def _rle(labels: np.ndarray) -> list[list[int]]:
-    out = []
-    for v in labels:
-        v = int(v)
-        if out and out[-1][0] == v:
-            out[-1][1] += 1
-        else:
-            out.append([v, 1])
-    return out
+    """``[label, run length]`` per run of equal neighbours, in order."""
+    # an empty array has no run: the slice drops the first start
+    starts = np.flatnonzero(np.concatenate(([True], labels[1:] != labels[:-1])))[:labels.size]
+    lengths = np.diff(starts, append=labels.size)
+    return [list(run) for run in zip(labels[starts].tolist(), lengths.tolist())]
 
 
 def _write_trace(trace, path: Path) -> None:

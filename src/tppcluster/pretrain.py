@@ -4,10 +4,11 @@ Hard-assignment EM: sequences start in random clusters, each cluster's
 parameters are improved by a few projected gradient-ascent steps on its
 members' summed log likelihood (with backtracking so the objective never
 drops), and sequences are reassigned to their best-fitting cluster.  Emptied
-clusters are removed at the top of each round.  The result is wrapped into a
-sampler-ready state: base rates inside the repulsive prior's box, weight
-seeds equal member counts, no spare components, and the auxiliary variable
-drawn from its full conditional.
+clusters are removed at the top of each round.  Every score reads real
+event rows alone (``backbone.EventRows``), never a padded slot.  The
+result is wrapped into a sampler-ready state: base rates inside the
+repulsive prior's box, weight seeds equal member counts, no spare
+components, and the auxiliary variable drawn from its full conditional.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import FeatureSet
+from .backbone import EventRows, FeatureSet
 from .core import (
     BasisConfig,
     Component,
@@ -53,24 +54,24 @@ def _cluster_ascent(features: FeatureSet, idx: np.ndarray, mu: np.ndarray, a: np
     Gradients are averaged per member so the step size is insensitive to the
     cluster size; backtracking halves the step until the objective improves.
     A step that overflows fails as one that does not improve.
-    The cluster's rows are gathered once, and the gradient at a point reuses
-    the excitation its objective was scored from.
+    The cluster's real event rows are gathered once, and the gradient at a
+    point reuses the excitation its objective was scored from.
     """
-    sub = features.take(idx)
-    x = sub.excitation(a)
-    best = float(sub.loglik_all(mu, a, x=x).sum())
+    rows = EventRows(features, idx)
+    x = rows.excitation(a)
+    best = float(rows.loglik(mu, a, x).sum())
     scale = len(idx)  # emptied clusters were dropped, so every cluster has members
     for _ in range(cfg.gd_steps):
         # mu >= _MU_FLOOR and a >= 0, so every rate is positive and the gradient exists
-        gmu, ga = sub.loglik_grad(mu, a, x=x)
+        gmu, ga = rows.grad(mu, a, x)
         step = cfg.learning_rate
         for _ in range(5):
             # a step that overflows scores NaN or -inf, and fails the test below
             with np.errstate(over="ignore", invalid="ignore"):
                 mu_new = np.maximum(mu + step * gmu / scale, _MU_FLOOR)
                 a_new = np.maximum(a + step * ga / scale, 0.0)
-                x_new = sub.excitation(a_new)
-                cand = float(sub.loglik_all(mu_new, a_new, x=x_new).sum())
+                x_new = rows.excitation(a_new)
+                cand = float(rows.loglik(mu_new, a_new, x_new).sum())
             if cand > best:
                 mu, a, x, best = mu_new, a_new, x_new, cand
                 break
@@ -99,6 +100,7 @@ def pretrain_mixture(data: Dataset, m_init: int, config: PretrainConfig,
         raise ConfigError("cannot pretrain on an empty dataset")
     D, nb = data.n_types, basis.n_basis
 
+    every = EventRows(features, np.arange(n))
     assign = rng.integers(0, m_init, size=n)
     lam_bar = data.mean_rate_per_type()
     mus, As = [], []
@@ -118,7 +120,7 @@ def pretrain_mixture(data: Dataset, m_init: int, config: PretrainConfig,
         for m in range(len(mus)):
             idx = np.flatnonzero(assign == m)
             mus[m], As[m] = _cluster_ascent(features, idx, mus[m], As[m], config)
-            cols[:, m] = features.loglik_all(mus[m], As[m])
+            cols[:, m] = every.loglik(mus[m], As[m])
         assign = cols.argmax(axis=1)
 
     width = dpp_model.box_hi - dpp_model.box_lo

@@ -474,10 +474,25 @@ class WholeHistoryHawkes:
     def lookahead(self):
         return math.inf
 
+    def memory(self):
+        return math.inf  # its intensity masks the history itself
+
+
+def model_window(model, t, times, types):
+    """The events of a whole history that ``model``'s rates at ``t`` read, cut
+    by a mask over all of it: the strict past with ``t - x <= model.memory()``,
+    the window the thinning loop hands ``intensity``."""
+    times = np.asarray(times, dtype=np.float64)
+    types = np.asarray(types, dtype=np.int64)
+    keep = (times < t) & (t - times <= model.memory())
+    return times[keep], types[keep]
+
 
 def list_thinning_sample(model, horizon, rng):
     """Thinning with the history kept in Python lists and copied into fresh
-    arrays for every candidate, without the error checks; returns (times, types)."""
+    arrays for every candidate, without the error checks; each candidate's
+    rates read the history cut by :func:`model_window`, not by the thinning loop's
+    window starts.  Returns (times, types)."""
     times, types = [], []
     t = 0.0
     while t < horizon:
@@ -495,7 +510,8 @@ def list_thinning_sample(model, horizon, rng):
             t = until
             continue
         t = t + gap
-        lam = np.asarray(model.intensity([t], [t_arr], [d_arr])[0], dtype=np.float64)
+        x, y = model_window(model, t, t_arr, d_arr)
+        lam = np.asarray(model.intensity([t], [x], [y])[0], dtype=np.float64)
         total = float(lam.sum())
         if rng.random() * bound <= total:
             cum = np.cumsum(lam)

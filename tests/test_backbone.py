@@ -10,6 +10,7 @@ from scipy.special import ndtr
 
 import helpers
 from tppcluster.backbone import (
+    EventRows,
     FeatureSet,
     HawkesModel,
     HomogeneousPoisson,
@@ -234,6 +235,8 @@ def test_featureset_matches_per_sequence_loglik():
             got = feats.take(idx).loglik_all(mu, a)
             assert np.allclose(got, direct[idx], atol=1e-10), (D, name)
             assert got.sum() == pytest.approx(direct[idx].sum())
+            rows = EventRows(feats, idx)
+            assert np.allclose(rows.loglik(mu, a), direct[idx], rtol=0, atol=1e-10), (D, name)
 
 
 def test_featureset_gradient_matches_per_sequence():
@@ -241,9 +244,13 @@ def test_featureset_gradient_matches_per_sequence():
         data, basis, mu, a, subsets = _subset_cases(D)
         feats = FeatureSet(data, basis)
         p = HawkesParams(mu, a, basis)
+        grads = [hawkes_loglik_grad(p, s) for s in data.sequences]
         for name, idx in subsets.items():
-            direct = sum(hawkes_loglik_grad(p, data.sequences[i])[1] for i in idx)
+            direct = sum(grads[i][1] for i in idx)
             assert np.allclose(feats.grad_a(mu, a, idx), direct, atol=1e-10), (D, name)
+            gmu, ga = EventRows(feats, idx).grad(mu, a)
+            assert np.allclose(gmu, sum(grads[i][0] for i in idx), rtol=0, atol=1e-10), (D, name)
+            assert np.allclose(ga, direct, rtol=0, atol=1e-10), (D, name)
 
 
 def test_featureset_event_term_consistency():
@@ -268,14 +275,19 @@ def test_featureset_cached_blocks_and_sub_stores_keep_the_bits():
     """A subset's own store ``take(idx)`` is the store built from the subset,
     array for array; the whole store's excitation block, cut with
     ``rows(idx)``, is that sub-store's block, and scores and gradients from a
-    given block equal those computed afresh, bit for bit."""
+    given block equal those computed afresh, bit for bit.  A subset's
+    event-major view holds that sub-store's real rows, in order, and their
+    excitation bits; the minibatch gradient over the padded rows agrees to
+    rounding with the view's over the real rows: a GEMM's bits may depend on
+    its zero rows."""
     for D in (1, 2, 3):
         data, basis, mu, a, subsets = _subset_cases(D)
         feats = FeatureSet(data, basis)
         whole = feats.excitation(a)
         assert whole.shape == feats.mask.shape
         assert np.array_equal(feats.loglik_all(mu, a, x=whole), feats.loglik_all(mu, a))
-        for got, want in zip(feats.loglik_grad(mu, a, whole), feats.loglik_grad(mu, a)):
+        every = EventRows(feats, np.arange(len(data.sequences)))
+        for got, want in zip(every.grad(mu, a, every.excitation(a)), every.grad(mu, a)):
             assert np.array_equal(got, want), D
         for name, idx in subsets.items():
             sub = feats.take(idx)
@@ -287,7 +299,14 @@ def test_featureset_cached_blocks_and_sub_stores_keep_the_bits():
             assert np.array_equal(sub.excitation(a), x), (D, name)
             assert np.array_equal(sub.loglik_all(mu, a, x), sub.loglik_all(mu, a))
             assert np.array_equal(feats.grad_a(mu, a, idx, x), feats.grad_a(mu, a, idx))
-            assert np.array_equal(feats.grad_a(mu, a, idx), sub.loglik_grad(mu, a)[1]), (D, name)
+            rows = EventRows(feats, idx)
+            assert rows.seg.tolist() == np.arange(idx.size).repeat(sub.n_events).tolist()
+            real = sub.excite[sub.mask].reshape(rows.excite.shape)
+            assert rows.excite.tobytes() == real.tobytes(), (D, name)
+            assert rows.excitation(a).tobytes() == x[sub.mask].tobytes(), (D, name)
+            in_sub = np.arange(idx.size)
+            assert np.array_equal(feats.grad_a(mu, a, idx), sub.grad_a(mu, a, in_sub)), (D, name)
+            np.testing.assert_allclose(feats.grad_a(mu, a, idx), rows.grad(mu, a)[1], rtol=1e-13)
 
 
 def _padded_excitation(feats, a):
@@ -333,7 +352,9 @@ def test_real_row_kernels_keep_the_padded_bits():
 
 def test_nonpositive_rate_marks_only_its_sequence():
     """Of several sequences, only the one with a zero-rate event scores -inf;
-    the others keep their finite columns, as in the padded formula."""
+    the others keep their finite columns, as in the padded formula.  The
+    event-major view marks the same sequence, and its gradient over a subset
+    that holds it is None."""
     basis = BasisConfig(np.array([0.0, 0.5]), 0.5, 1.0)
     seqs = [
         EventSequence(np.array([0.5, 1.0, 1.5]), np.array([0, 0, 1]), 3.0, id="excited"),
@@ -351,6 +372,13 @@ def test_nonpositive_rate_marks_only_its_sequence():
         p = HawkesParams(mu, a, basis)
         for i in (0, 2, 3):
             assert cols[i] == pytest.approx(hawkes_loglik(p, seqs[i]), abs=1e-12)
+        # the event-major view, in another order: -inf moves with its sequence
+        rows = EventRows(feats, np.array([3, 1, 0, 2]))
+        view = rows.loglik(mu, a)
+        assert np.isneginf(view).tolist() == [False, True, False, False]
+        np.testing.assert_allclose(view[[0, 2, 3]], cols[[3, 0, 2]], rtol=0, atol=1e-12)
+        assert rows.grad(mu, a) is None
+        assert EventRows(feats, np.array([0, 2, 3])).grad(mu, a) is not None
 
 
 def test_one_event_store_matches_per_sequence_loglik():
@@ -410,8 +438,9 @@ def test_featureset_matches_whole_history_reference(data):
 
 
 def _total_rate(model, t, times=(), types=()) -> float:
-    return float(np.sum(model.intensity([t], [np.asarray(times, dtype=np.float64)],
-                                        [np.asarray(types, dtype=np.int64)])))
+    """The total rate at ``t`` given a whole history, cut to the model's window."""
+    x, y = helpers.model_window(model, t, times, types)
+    return float(np.sum(model.intensity([t], [x], [y])))
 
 
 def test_sim_intensity_examples():
@@ -454,8 +483,7 @@ def test_upper_bounds_dominate():
             until = min(t0 + model.lookahead(), horizon)
             bound = model.upper_bound(t0, times, types, until)
             for t in rng.uniform(t0, until, size=8):
-                total = float(np.sum(model.intensity([t], [times], [types])))
-                assert total <= bound * (1 + 1e-9)
+                assert _total_rate(model, t, times, types) <= bound * (1 + 1e-9)
 
 
 @pytest.mark.parametrize("n_types, centers", [
@@ -465,8 +493,8 @@ def test_batched_hawkes_intensity_rows(n_types, centers):
     """Every row of a batched intensity has the bits of the same candidate
     scored alone, whatever the rest of the batch; with one bump and two or
     more types both also have hawkes_intensity's bits.  The histories
-    include an empty one, a candidate at an event's time, and whole
-    histories that reach past their windows."""
+    include an empty one, a candidate at an event's time, and histories that
+    reach past their windows, each cut to its window by a mask."""
     rng = np.random.default_rng(40 + n_types)
     basis = BasisConfig(np.array(centers), sigma=0.6, tau_max=2.0)
     params = HawkesParams(rng.uniform(0.2, 1.0, n_types),
@@ -477,7 +505,9 @@ def test_batched_hawkes_intensity_rows(n_types, centers):
         histories.append((times, rng.integers(0, n_types, size)))
     ts = [0.5] + [float(x[-1] + rng.uniform(0.0, 0.5)) for x, _ in histories[1:]]
     ts[3] = float(histories[3][0][-2])  # at an event's time: only the strict past excites
-    times, types = [x for x, _ in histories], [y for _, y in histories]
+    windows = [helpers.model_window(HawkesModel(params), t, x, y)
+               for t, (x, y) in zip(ts, histories)]
+    times, types = [x for x, _ in windows], [y for _, y in windows]
     for order in (slice(None), slice(None, None, -1)):
         model = HawkesModel(params)
         batch = model.intensity(ts[order], times[order], types[order])

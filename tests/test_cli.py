@@ -780,10 +780,27 @@ def test_missing_subcommand_is_a_usage_error(capsys):
 # helpers behind the commands
 
 
+def _rle_loop(labels):
+    """Run-length coding label by label, the reference for ``_rle``."""
+    out = []
+    for v in labels:
+        v = int(v)
+        if out and out[-1][0] == v:
+            out[-1][1] += 1
+        else:
+            out.append([v, 1])
+    return out
+
+
 def test_label_run_length_coding():
-    for labels in ([], [0], [0, 0, 1, 1, 1, 0], list(np.random.default_rng(0).integers(0, 3, 40))):
+    rng = np.random.default_rng(0)
+    cases = ([], [0], [4] * 50, [0, 1] * 25, [1, 0] * 25 + [1], [0, 0, 1, 1, 1, 0],
+             list(rng.integers(0, 3, 40)), list(rng.integers(0, 2, 500)),
+             list(np.repeat(rng.integers(0, 5, 30), rng.integers(1, 6, 30))))
+    for labels in cases:
         arr = np.asarray(labels, dtype=np.int64)
         pairs = _rle(arr)
+        assert json.dumps(pairs) == json.dumps(_rle_loop(arr)), labels
         values, counts = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
         assert np.array_equal(np.repeat(values, counts), arr)
         assert all(count >= 1 for _, count in pairs)

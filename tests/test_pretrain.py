@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from tppcluster.backbone import FeatureSet, HomogeneousPoisson, hawkes_loglik_grad
+from tppcluster.backbone import EventRows, FeatureSet, HomogeneousPoisson, hawkes_loglik_grad
 from tppcluster.core import BasisConfig, ConfigError, Dataset, DppConfig, HawkesParams, PriorBundle
 from tppcluster.dpp import model_for_data
 from tppcluster.metrics import purity
 from tppcluster.pretrain import PretrainConfig, pretrain_mixture
-from tppcluster.simulate import sample_mixture
+from tppcluster.simulate import sample_mixture, thinning_sample
 
 PRIOR = PriorBundle(beta_w=10.0, dpp=DppConfig())
 
@@ -61,10 +61,33 @@ def test_cluster_gradient_matches_per_sequence():
     assert features.n_events[idx].max() < features.n_events[longest]
     rng = np.random.default_rng(3)
     mu, a = rng.uniform(0.5, 1.5, size=2), rng.uniform(0.0, 0.3, size=(2, 2, 3))
-    gmu, ga = features.take(idx).loglik_grad(mu, a)
+    gmu, ga = EventRows(features, idx).grad(mu, a)
     per_seq = [hawkes_loglik_grad(HawkesParams(mu, a, basis), data.sequences[i]) for i in idx]
     assert np.allclose(gmu, sum(g[0] for g in per_seq), rtol=0, atol=1e-10)
     assert np.allclose(ga, sum(g[1] for g in per_seq), rtol=0, atol=1e-10)
+
+
+def test_pretraining_reads_no_padded_store(monkeypatch):
+    """On one long sequence among short ones, pretraining scores and climbs on
+    real event rows alone: it neither cuts a padded sub-store nor scores the
+    padded likelihood columns."""
+    short = _poisson_data([0.9, 1.8], n=10, horizon=3.0, seed=8).sequences
+    long = thinning_sample(HomogeneousPoisson([0.9, 1.8]), 200.0, np.random.default_rng(9),
+                           id="long", label=1)
+    data = Dataset(short + [long], 2)
+    basis = BasisConfig.for_data(data, n_basis=3)
+    inputs = _inputs(data, basis)
+    assert inputs["features"].n_events.max() > 10 * np.median(inputs["features"].n_events)
+
+    def padded(*_args, **_kwargs):
+        raise AssertionError("pretraining read the padded layout")
+
+    monkeypatch.setattr(FeatureSet, "take", padded)
+    monkeypatch.setattr(FeatureSet, "loglik_all", padded)
+    state = pretrain_mixture(data, 3, PretrainConfig(), PRIOR, basis, **inputs,
+                             rng=np.random.default_rng(4))
+    assert state.violations() == []
+    assert state.c.shape == (len(data.sequences),)
 
 
 def test_zero_rounds_is_raw_initialisation():
